@@ -13,6 +13,7 @@ from .symcore import (
     JetVar,
     QuadratureSettings,
     SymcoreError,
+    UndefinedExpressionError,
     ZeroVerdict,
     differentiate,
     eval_numeric,

@@ -39,11 +39,11 @@ from .symcore import (
     SymcoreError,
     ZeroVerdict,
     bind_formal,
+    exact_residual,
     formal,
     formal_integral,
     is_zero,
     jet,
-    normalize,
     t,
     x,
 )
@@ -91,7 +91,7 @@ class SingleFrame:
         return self.d_I
 
     def duality_residuals(self) -> list[sp.Expr]:
-        return [normalize(self.d_I(self.I) - 1)]
+        return [exact_residual(self.d_I(self.I) - 1)]
 
 
 @dataclass(frozen=True)

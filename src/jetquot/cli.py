@@ -122,10 +122,6 @@ def _parse_params(pairs: list[str] | None) -> dict:
     return out
 
 
-def _fmt(val: float) -> str:
-    return format(float(val), ".17g")
-
-
 def _emit_json(doc: dict, out: str | None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
     if out is None:
@@ -241,7 +237,7 @@ def cmd_hs_cauchy(args) -> int:
         ws = _parse_range(args.w_window, default_count=20)
         grid = [(tv, wv) for tv in times for wv in ws]
         rep = hs.residual(sol, grid, h=args.fd_step)
-        stats = {"max": _fmt(rep.max_residual), "evaluated": rep.evaluated,
+        stats = {"max": hs.format_float(rep.max_residual), "evaluated": rep.evaluated,
                  "excluded": len(rep.excluded)}
         if args.singular:
             lo, hi = min(ws), max(ws)
@@ -279,7 +275,7 @@ def cmd_hs_singular(args) -> int:
     curve = hs.singular_curve(sol, times, w_window=(lo, hi), n=args.samples)
     rows = ["t,w,x,u"]
     for tv, wv, xv, uv in curve.samples:
-        rows.append(",".join(_fmt(v) for v in (tv, wv, xv, uv)))
+        rows.append(",".join(hs.format_float(v) for v in (tv, wv, xv, uv)))
     out = _out_path(args.out or "hs_singular.csv")
     _atomic_write(out, lambda p: open(p, "w").write("\n".join(rows) + "\n"))
     print(f"wrote {out} ({len(curve.samples)} singular samples)")
@@ -375,7 +371,7 @@ def cmd_catalog_characteristics(args) -> int:
     rows = ["curve,I,J,H,flag"]
     for ci, curve in enumerate(res.curves):
         for s in curve:
-            rows.append(",".join([str(ci), _fmt(s.I), _fmt(s.J), _fmt(s.H),
+            rows.append(",".join([str(ci), *map(hs.format_float, (s.I, s.J, s.H)),
                                   str(s.flag)]))
     out = _out_path(args.out or "characteristics.csv")
     _atomic_write(out, lambda p: open(p, "w").write("\n".join(rows) + "\n"))
@@ -647,7 +643,6 @@ _DASH_VALUED = {"--w", "--t", "--w-window", "--w-end", "--times", "--s",
 
 def _glue_dash_values(argv: list[str]) -> list[str]:
     out = []
-    it = iter(range(len(argv)))
     skip = False
     for k, tok in enumerate(argv):
         if skip:

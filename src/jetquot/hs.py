@@ -592,7 +592,8 @@ def hs_comparison(g) -> ComparisonMaps:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(val: float) -> str:
+def format_float(val: float) -> str:
+    """17 significant digits, so written artifacts rerun byte-identically."""
     return format(float(val), ".17g")
 
 
@@ -616,15 +617,15 @@ def surface_csv(sol: ParamSolution, times, w_values, path: str,
                 # the slope u_x = 2w/(tw+2) blows up on this locus
                 flag = 2
             else:
-                uxs = _fmt(u_x_of_w(tv, wv))
+                uxs = format_float(u_x_of_w(tv, wv))
                 try:
                     if abs(xw_f(tv, wv)) < jacobian_floor:
                         flag = 2
-                    xs, us = _fmt(sol.x_of(tv, wv)), _fmt(sol.u_of(tv, wv))
+                    xs, us = format_float(sol.x_of(tv, wv)), format_float(sol.u_of(tv, wv))
                 except (QuadratureFailure, ZeroDivisionError, OverflowError, ValueError):
                     flag = 3
                     xs = us = ""
-            rows.append(",".join([_fmt(tv), _fmt(wv), xs, us, uxs, str(flag)]))
+            rows.append(",".join([format_float(tv), format_float(wv), xs, us, uxs, str(flag)]))
             count += 1
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
@@ -640,8 +641,8 @@ def cauchy_report_json(t0, u0, g, C, residual_stats: dict | None,
         "C": str(C),
         "residual": residual_stats or {},
         "singular_curve": [
-            {"t": _fmt(a), "w": _fmt(b), "x": _fmt(c), "u": _fmt(d)}
-            for a, b, c, d in singular_samples
+            dict(zip("twxu", map(format_float, sample)))
+            for sample in singular_samples
         ],
     }
     with open(path, "w") as fh:

@@ -22,12 +22,14 @@ from .pde import GenericityCondition, PdeManifold
 from .symcore import (
     SymcoreError,
     ZeroVerdict,
+    exact_residual,
     is_zero,
     jets_in,
     max_jet_order,
     normalize,
     t,
     x,
+    zero_certificate,
 )
 
 # Token symbols for writing syzygies. First-order derivative tokens are
@@ -105,12 +107,13 @@ class TresseFrame:
         raise SymcoreError(f"no derivation {which!r}")
 
     def duality_residuals(self) -> list[sp.Expr]:
-        """[∂̂_I(I)−1, ∂̂_I(J), ∂̂_J(I), ∂̂_J(J)−1], all restricted."""
+        """[∂̂_I(I)−1, ∂̂_I(J), ∂̂_J(I), ∂̂_J(J)−1], all restricted; 0 where
+        exactly zero, else normalized."""
         return [
-            normalize(self.d_I(self.I) - 1),
-            normalize(self.d_I(self.J)),
-            normalize(self.d_J(self.I)),
-            normalize(self.d_J(self.J) - 1),
+            exact_residual(self.d_I(self.I) - 1),
+            exact_residual(self.d_I(self.J)),
+            exact_residual(self.d_J(self.I)),
+            exact_residual(self.d_J(self.J) - 1),
         ]
 
 
@@ -137,8 +140,9 @@ def check_invariant(e: sp.Expr, gens: list[VectorField], M: PdeManifold,
     e = M.restrict(sp.sympify(e))
     verdicts = []
     for X in gens:
-        residual = normalize(M.restrict(apply_prolonged(X, e, k, cap=M.cap)))
-        verdicts.append((X, is_zero(residual, **zero_opts), residual))
+        verdict, residual = zero_certificate(
+            M.restrict(apply_prolonged(X, e, k, cap=M.cap)), **zero_opts)
+        verdicts.append((X, verdict, residual))
     return InvarianceReport(e, verdicts)
 
 
@@ -146,7 +150,7 @@ def check_commutation(fr: TresseFrame, M: PdeManifold, probe: sp.Expr,
                       **zero_opts) -> ZeroVerdict:
     """Zero-test [∂̂_I, ∂̂_J](probe) on the manifold."""
     lhs = fr.d_I(fr.d_J(probe)) - fr.d_J(fr.d_I(probe))
-    return is_zero(normalize(M.restrict(lhs)), **zero_opts)
+    return is_zero(M.restrict(lhs), **zero_opts)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +208,7 @@ def check_syzygy(s: Syzygy, fr: TresseFrame, bindings: dict, M: PdeManifold | No
                  **zero_opts) -> ZeroVerdict:
     """Realize the syzygy on the manifold and zero-test it."""
     M = M or fr.M
-    return is_zero(normalize(M.restrict(s.realize(fr, bindings))), **zero_opts)
+    return is_zero(M.restrict(s.realize(fr, bindings)), **zero_opts)
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,17 @@ Expressions are sympy objects over a fixed vocabulary:
   which differentiate by the chain rule and never evaluate,
 * formal integrals ``Integral(h(v), (v, 0, w))`` with lower bound 0.
 
-Zero-testing works in two stages: a deterministic rational-normal-form
-check in which every transcendental subexpression is treated as an
-independent kernel, and a probabilistic fallback that evaluates the
-expression at random rational points (formal functions get random
-polynomial stand-ins).
+Zero-testing works in two stages. Stage 1 is deterministic: every
+transcendental subexpression becomes an independent kernel symbol, and
+the kernelized expression is walked into a sparse polynomial ring over
+QQ as numerator / product of primitive denominator factors. No gcd is
+taken, so the value is zero exactly when the numerator is; the root
+relations r**L = base and integer shifts between symbolic exponents are
+then reduced inside the ring. Stage 2 is a probabilistic fallback that
+evaluates the expression at random rational points (formal functions get
+random polynomial stand-ins). :func:`normalize` is the separate, printable
+rational normal form; the verification checks call it only to build the
+certificate of a claim that fails.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ from typing import Callable, Mapping, Sequence
 import sympy as sp
 from sympy import Rational, Symbol
 from sympy.core.function import AppliedUndef
+from sympy.polys.domains import QQ
+from sympy.polys.rings import ring
 
 t = Symbol("t")
 x = Symbol("x")
@@ -57,6 +65,11 @@ class EvalError(SymcoreError):
 
 class IndeterminateZeroTest(SymcoreError):
     pass
+
+
+class UndefinedExpressionError(IndeterminateZeroTest):
+    """The expression has no value: it holds a non-finite constant (zoo,
+    oo, nan) or a denominator that vanishes identically."""
 
 
 # ---------------------------------------------------------------------------
@@ -664,40 +677,231 @@ def _deterministic_zero(e: sp.Expr) -> bool:
     return combined is not e and _kernel_rational_zero(combined)
 
 
+def exact_zero(e: sp.Expr) -> bool:
+    """Stage 1 of :func:`is_zero` alone: True when e is provably zero."""
+    return e == 0 or _deterministic_zero(e)
+
+
+def exact_residual(e: sp.Expr) -> sp.Expr:
+    """0 when e is exactly zero, else its normal form as a certificate."""
+    return sp.Integer(0) if exact_zero(e) else normalize(e)
+
+
+def zero_certificate(e: sp.Expr, **zero_opts) -> tuple[ZeroVerdict, sp.Expr]:
+    """(verdict, residual): the residual is 0 when the verdict is
+    deterministic, else ``normalize(e)``, so only failures pay for it."""
+    verdict = is_zero(e, **zero_opts)
+    if verdict.mode == "deterministic":
+        return verdict, sp.Integer(0)
+    return verdict, normalize(e)
+
+
 def _kernel_rational_zero(e: sp.Expr) -> bool:
     k = _Kernelizer()
-    body = k.run(e)
-    num, _den = sp.fraction(sp.together(body))
-    num = sp.expand(num)
-    if num == 0:
-        return True
-    # reduce modulo the defining relations r**L = base of the root kernels
-    for kernel, sym in k.table.items():
-        if (kernel.is_Pow and kernel.exp.is_Rational and kernel.exp.p == 1
-                and kernel.exp.q > 1 and num.has(sym)):
-            try:
-                num = sp.expand(sp.rem(num, sym ** kernel.exp.q - kernel.base, sym))
-            except sp.PolynomialError:
-                continue
-            if num == 0:
-                return True
-    # powers of one base whose symbolic exponents differ by an integer are
-    # monomial multiples of one another: base**e2 = base**e1 * base**(e2-e1)
-    groups: dict[sp.Expr, list[tuple[sp.Expr, Symbol]]] = {}
-    for kernel, sym in k.table.items():
-        if kernel.is_Pow and not kernel.exp.is_Rational and num.has(sym):
-            groups.setdefault(kernel.base, []).append((kernel.exp, sym))
-    sub = {}
-    for base, powers in groups.items():
-        ref_exp, ref_sym = powers[0]
-        for exp2, sym2 in powers[1:]:
-            d = sp.cancel(exp2 - ref_exp)
-            if d.is_Integer:
-                sub[sym2] = ref_sym * base**int(d)
-    if sub:
-        num, _ = sp.fraction(sp.together(num.xreplace(sub)))
-        num = sp.expand(num)
-    return num == 0
+    return not _ring_numerator(k.run(e), k.table)
+
+
+# -- stage 1 in a factored-denominator polynomial ring ------------------------
+
+_NON_FINITE = frozenset({sp.S.ComplexInfinity, sp.S.Infinity, sp.S.NegativeInfinity, sp.S.NaN})
+
+
+def _ring_leaves(e: sp.Expr, out: set) -> set:
+    """Add the generators of e to ``out``: every leaf that is not a Rational.
+
+    Sums, products and integer powers are ring operations; any other node
+    (a symbol, pi, I, a float, an unexpected compound) is one generator.
+    """
+    stack, seen = [e], set()
+    while stack:
+        node = stack.pop()
+        if node in seen or node.is_Rational:
+            continue
+        seen.add(node)
+        if node.is_Add or node.is_Mul or (node.is_Pow and node.exp.is_Integer):
+            stack.extend(node.args)
+        elif node in _NON_FINITE:
+            raise UndefinedExpressionError(f"non-finite constant {node}")
+        else:
+            out.add(node)
+    return out
+
+
+def _accumulate(acc: dict, p) -> None:
+    """acc += p, on the term dict of a ring element, in place."""
+    for monom, coeff in p.items():
+        c = acc.get(monom)
+        if c is None:
+            acc[monom] = coeff
+        elif c + coeff:
+            acc[monom] = c + coeff
+        else:
+            del acc[monom]
+
+
+class _RingWalk:
+    """Walks a kernelized body into (num, {base: power}) over QQ.
+
+    ``num`` lies in ``ring(gens, QQ)``; the denominator is the product of
+    its bases, each a primitive ring element with positive leading
+    coefficient, never multiplied out. No gcd is taken: every base is a
+    nonzero polynomial, so the value is zero exactly when ``num`` is.
+    """
+
+    def __init__(self, gens: list):
+        self.R, *elems = ring(gens, QQ)
+        self.gen = dict(zip(gens, elems))
+        self.memo: dict = {}
+
+    def __call__(self, e: sp.Expr):
+        out = self.memo.get(e)
+        if out is None:
+            out = self.memo[e] = self._convert(e)
+        return out
+
+    def _convert(self, e: sp.Expr):
+        R = self.R
+        if e.is_Rational:
+            return R.ground_new(QQ(e.p, e.q)), {}
+        g = self.gen.get(e)
+        if g is not None:
+            return g, {}
+        if e.is_Add:
+            return self._add([self(a) for a in e.args])
+        if e.is_Mul:
+            num, den = R.one, {}
+            for a in e.args:
+                n, d = self(a)
+                num = num * n
+                for b, p in d.items():
+                    den[b] = den.get(b, 0) + p
+            return num, den
+        # an integer power: _ring_leaves made every other node a generator
+        n = int(e.exp)
+        num, den = self(e.base)
+        if n < 0:
+            (num, den), n = self._invert(num, den), -n
+        return num**n, {b: p * n for b, p in den.items()}
+
+    def _add(self, terms):
+        # sum the numerators over each distinct denominator, then bring the
+        # sums to the common denominator (the highest power of each base)
+        sums: dict[frozenset, dict] = {}
+        for num, den in terms:
+            _accumulate(sums.setdefault(frozenset(den.items()), {}), num)
+        if len(sums) == 1:
+            (key, acc), = sums.items()
+            return self.R.dtype(acc), dict(key)
+        common: dict = {}
+        for key in sums:
+            for b, p in key:
+                common[b] = max(common.get(b, 0), p)
+        total: dict = {}
+        for key, acc in sums.items():
+            num, have = self.R.dtype(acc), dict(key)
+            for b, p in common.items():
+                if p > have.get(b, 0):
+                    num = num * b ** (p - have.get(b, 0))
+            _accumulate(total, num)
+        return self.R.dtype(total), common
+
+    def _invert(self, num, den):
+        if not num:
+            raise UndefinedExpressionError("a denominator vanishes identically")
+        top = self.R.one
+        for b, p in den.items():
+            top = top * b**p
+        if len(num) == 1:
+            # a monomial splits into one base per generator
+            (monom, coeff), = num.items()
+            return top.quo_ground(coeff), {
+                self.R.gens[i]: k for i, k in enumerate(monom) if k
+            }
+        content, base = num.primitive()
+        if base.LC < 0:
+            content, base = -content, -base
+        return top.quo_ground(content), {base: 1}
+
+
+def _reduce(num, i: int, q: int, value):
+    """num with gens[i]**q replaced by value = (vnum, vden), times the
+    power of the denominator product that keeps it a polynomial."""
+    split: dict[int, dict] = {}
+    for monom, coeff in num.items():
+        a, b = divmod(monom[i], q)
+        split.setdefault(a, {})[monom[:i] + (b,) + monom[i + 1:]] = coeff
+    top = max(split)
+    if top == 0:
+        return num
+    R = num.ring
+    vnum, vden = value
+    D = R.one
+    for b, p in vden.items():
+        D = D * b**p
+    out: dict = {}
+    for a, terms in split.items():
+        _accumulate(out, R.dtype(terms) * vnum**a * D ** (top - a))
+    return R.dtype(out)
+
+
+def _relation(kernel: sp.Expr, sym: Symbol, table: dict, exponents: dict):
+    """(q, value) with sym**q = value for the kernel's symbol, or None.
+
+    Root kernels base**(p/q) give sym**q = base**p. A symbolic power
+    base**e2 gives sym = ref * base**(e2 - e1) when an earlier kernel
+    ref = base**e1 has an exponent differing from e2 by an integer, and
+    sym = base**(e2 + e1) / ref when the exponents sum to an integer.
+    """
+    if not kernel.is_Pow:
+        return None
+    base, expo = kernel.args
+    if expo.is_Rational:
+        return expo.q, table.get(base, base) ** expo.p
+    for e1, ref in exponents.get(base, ()):
+        if ref == sym:
+            return None
+        d = sp.cancel(expo - e1)
+        if d.is_Integer:
+            return 1, ref * base**d
+        d = sp.cancel(expo + e1)
+        if d.is_Integer:
+            return 1, base**d / ref
+    return None
+
+
+def _ring_numerator(body: sp.Expr, table: dict, relations: bool = True):
+    """The numerator of ``body`` in the ring of its generators.
+
+    It is the zero polynomial exactly when body is zero as a rational
+    function of its kernels, after the kernel relations (when
+    ``relations``) are reduced, latest kernel first so that what a
+    reduction brings in is reduced afterwards.
+    """
+    leaves = _ring_leaves(body, set())
+    plan = []
+    if relations:
+        exponents: dict = {}
+        for kernel, sym in table.items():
+            if kernel.is_Pow and not kernel.exp.is_Rational:
+                exponents.setdefault(kernel.base, []).append((kernel.exp, sym))
+        for kernel, sym in reversed(table.items()):
+            rel = _relation(kernel, sym, table, exponents) if sym in leaves else None
+            if rel is not None:
+                plan.append((sym, *rel))
+                _ring_leaves(rel[1], leaves)
+        if sp.I in leaves:
+            plan.append((sp.I, 2, sp.Integer(-1)))
+    for kernel, sym in table.items():
+        if sym in leaves and kernel.has(*_NON_FINITE):
+            raise UndefinedExpressionError(f"non-finite constant in {kernel}")
+    gens = sorted(leaves, key=lambda a: (str(a), sp.default_sort_key(a)))
+    walk = _RingWalk(gens)
+    num = walk(body)[0]
+    for sym, q, value in plan:
+        if not num:
+            break
+        num = _reduce(num, gens.index(sym), q, walk(value))
+    return num
 
 
 def _random_rational(rng: random.Random) -> Rational:
@@ -763,9 +967,7 @@ def is_zero(e: sp.Expr, samples: int = 8, max_resamples: int = 32,
     resampling; too many bad samples raise :class:`IndeterminateZeroTest`.
     """
     e = sp.sympify(e)
-    if e == 0:
-        return ZeroVerdict(True, "deterministic")
-    if _deterministic_zero(e):
+    if exact_zero(e):
         return ZeroVerdict(True, "deterministic")
     rng = random.Random(seed)
     good = 0
