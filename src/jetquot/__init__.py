@@ -11,12 +11,11 @@ from .symcore import (
     ExprSyntaxError,
     IndeterminateZeroTest,
     JetVar,
-    QuadratureSettings,
     SymcoreError,
     UndefinedExpressionError,
     ZeroVerdict,
     differentiate,
-    eval_numeric,
+    compile_numeric,
     formal,
     formal_integral,
     is_zero,
@@ -33,7 +32,6 @@ from .jetcalc import (
     ProlongedField,
     VectorField,
     cartan_forms,
-    horizontal_differential,
     prolong,
     total_derivative,
 )
@@ -55,7 +53,6 @@ from .invariants import (
     check_quotient_solution,
     check_syzygy,
     discover_syzygy,
-    tresse_frame,
 )
 from .catalog import (
     CatalogEntry,
@@ -75,7 +72,6 @@ from .hs import (
     GENERATORS,
     CauchyError,
     ParamSolution,
-    QuadratureFailure,
     ResidualReport,
     SingularCurve,
     cauchy_g,

@@ -36,9 +36,11 @@ from .invariants import (
 from .jetcalc import VectorField
 from .pde import GenericityCondition, PdeManifold, check_symmetry, solution_residual
 from .symcore import (
+    EvalError,
     SymcoreError,
     ZeroVerdict,
     bind_formal,
+    compile_numeric,
     exact_residual,
     formal,
     formal_integral,
@@ -894,8 +896,6 @@ def instantiate(name: str, g=None, C=None, params: dict | None = None,
     for pname, sym in e.parameters.items():
         if pname in params:
             subs_params[sym] = sp.sympify(params[pname])
-    if name == "ex4.1" and subs_params.get(A_par) == 1:
-        raise ParameterError("A = 1 is excluded (the exponent 1/(1-A) degenerates)")
 
     constraint = None
     if e.solutions:
@@ -971,8 +971,7 @@ def _charspeeds(entry: CatalogEntry, params: dict):
     subs = {entry.parameters[n]: sp.sympify(v) for n, v in (params or {}).items()
             if n in entry.parameters}
     syms = (I_tok, J_tok, base)
-    fa, fb, fc = (sp.lambdify(syms, p.xreplace(subs), "math") for p in (a, b, c))
-    return fa, fb, fc
+    return tuple(compile_numeric(p.xreplace(subs), syms) for p in (a, b, c))
 
 
 def _rk4(fa, fb, fc, state, h):
@@ -1013,7 +1012,7 @@ def characteristics_solve(name: str, initial: list[tuple[float, float, float]],
             for _ in range(m):
                 try:
                     state = _rk4(fa, fb, fc, state, h)
-                except (ZeroDivisionError, OverflowError, ValueError):
+                except EvalError:
                     samples[-1].flag = 1
                     break
                 if any(not math.isfinite(y) for y in state) or abs(state[2]) > blowup:

@@ -431,6 +431,36 @@ def _load_schema() -> dict:
         return json.load(fh)
 
 
+def _problem_argv(doc: dict) -> list[str]:
+    """The command line that a validated problem file stands for."""
+    action, entry = doc["action"], doc.get("entry")
+    p = doc.get("parameters", {})
+
+    def flags(*keys):
+        return [f"--{k}={p[k]}" for k in keys if k in p]
+
+    params = [f"--param={k}={p[k]}" for k in ("A", "epsilon") if k in p]
+    if action == "verify":
+        return ["verify", entry] if entry else ["verify", "--all"]
+    if action == "solve" and entry in (None, "hunter-saxton"):
+        grid = p.get("grid", {})
+        tol = p.get("tolerances", {})
+        return ["hs", "solve", f"--g={p.get('g', 'exp(w)')}",
+                f"--t={grid.get('t', '0:2.5:0.5')}", f"--w={grid.get('w', '-4:0.9')}",
+                *flags("C", "out"), *([f"--tol={tol['zero']}"] if "zero" in tol else [])]
+    if action == "solve":
+        return ["catalog", "solve", entry, *flags("g", "C"), *params]
+    if action == "cauchy":
+        times = [f"--times={','.join(map(str, p['times']))}"] if "times" in p else []
+        return ["hs", "cauchy", *flags("t0", "u0", "C", "out"), *times]
+    if action == "characteristics":
+        initial = [f"--initial={','.join(map(str, triple))}" for triple in p.get("initial", [])]
+        span = [f"--span={p['span'][0]}:{p['span'][1]}"] if "span" in p else []
+        return ["catalog", "characteristics", entry, *initial, *span,
+                *flags("step", "out"), *params]
+    return ["hs", "transform", *flags("generator", "g"), f"--s={p.get('s', 0)}"]
+
+
 def cmd_run(args) -> int:
     import jsonschema
 
@@ -441,54 +471,8 @@ def cmd_run(args) -> int:
     except jsonschema.ValidationError as exc:
         print(f"problem file rejected: {exc.message}", file=sys.stderr)
         return 2
-    action = doc["action"]
-    p = doc.get("parameters", {})
-    entry = doc.get("entry")
-
-    ns = argparse.Namespace
-    if action == "verify":
-        return cmd_verify(ns(all=entry is None, entries=[entry] if entry else [],
-                             json=False, out=p.get("out")))
-    if action == "solve":
-        if entry in (None, "hunter-saxton"):
-            grid = p.get("grid", {})
-            return cmd_hs_solve(ns(g=p.get("g", "exp(w)"), C=p.get("C"),
-                                   t=grid.get("t", "0:2.5:0.5"),
-                                   w=grid.get("w", "-4:0.9"),
-                                   X_part=None, U_part=None,
-                                   validity=None, out=p.get("out"),
-                                   residual_grid=False, fd_step=1e-5,
-                                   tol=p.get("tolerances", {}).get("zero", 1e-8)))
-        param = [f"{k}={p[k]}" for k in ("A", "epsilon") if k in p]
-        return cmd_catalog_solve(ns(entry=entry, g=p.get("g"), C=p.get("C"),
-                                    param=param, which=0))
-    if action == "cauchy":
-        if "t0" not in p or "u0" not in p:
-            print("cauchy needs parameters.t0 and parameters.u0", file=sys.stderr)
-            return 2
-        return cmd_hs_cauchy(ns(t0=p["t0"], u0=p["u0"], C=p.get("C"),
-                                w_end="0", side="-", times=None,
-                                w_window="-0.9:0.9", fd_step=1e-5,
-                                singular=False, out=p.get("out")))
-    if action == "characteristics":
-        if entry is None:
-            print("characteristics needs an entry", file=sys.stderr)
-            return 2
-        initial = [",".join(str(v) for v in triple)
-                   for triple in p.get("initial", [])]
-        span = p.get("span", [0.0, 1.0])
-        param = [f"{k}={p[k]}" for k in ("A", "epsilon") if k in p]
-        return cmd_catalog_characteristics(
-            ns(entry=entry, initial=initial, span=f"{span[0]}:{span[1]}",
-               step=p.get("step", 0.01), param=param, out=p.get("out")))
-    if action == "transform":
-        if "generator" not in p or "g" not in p:
-            print("transform needs parameters.generator and parameters.g",
-                  file=sys.stderr)
-            return 2
-        return cmd_hs_transform(ns(generator=p["generator"],
-                                   s=str(p.get("s", 0)), g=p["g"]))
-    raise CliError(f"unhandled action {action!r}", code=2)
+    problem = build_parser().parse_args(_problem_argv(doc))
+    return problem.func(problem)
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,9 @@ from functools import cached_property
 
 import numpy as np
 import sympy as sp
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .symcore import SymcoreError, jet, t, x
+from .symcore import EvalError, SymcoreError, compile_numeric, jet, t, x
 
 u_sym = jet(0, 0)
 u_x = jet(0, 1)
@@ -39,10 +38,6 @@ F_HS = jet(1, 1) + u_sym * u_xx + u_x**2 / 2
 
 
 class CauchyError(SymcoreError):
-    pass
-
-
-class QuadratureFailure(SymcoreError):
     pass
 
 
@@ -83,39 +78,6 @@ def _closed(e: sp.Expr) -> sp.Expr | None:
     if out.has(sp.Integral) or out.has(sp.nan, sp.zoo):
         return None
     return sp.cancel(sp.together(out))
-
-
-def _numeric_fn(expr: sp.Expr):
-    """(t, w) -> float evaluator; quadrature-backed if Integrals remain."""
-    if not expr.has(sp.Integral):
-        f = sp.lambdify((t, w), expr, "math")
-        return lambda tv, wv: float(f(tv, wv))
-
-    integrals = sorted(expr.atoms(sp.Integral), key=sp.default_sort_key)
-    rest = expr
-    slots = []
-    for k, integral in enumerate(integrals):
-        slot = sp.Symbol(f"_quad{k}")
-        rest = rest.xreplace({integral: slot})
-        integrand, (var, lo, hi) = integral.function, integral.limits[0]
-        fi = sp.lambdify((var, t, w), integrand, "math")
-        flo = sp.lambdify((t, w), lo, "math")
-        fhi = sp.lambdify((t, w), hi, "math")
-        slots.append((slot, fi, flo, fhi))
-    frest = sp.lambdify([t, w] + [s for s, *_ in slots], rest, "math")
-
-    def evaluate(tv, wv):
-        vals = []
-        for _, fi, flo, fhi in slots:
-            val, err = quad(lambda z: fi(z, tv, wv), flo(tv, wv), fhi(tv, wv),
-                            epsabs=1e-12, epsrel=1e-12, limit=200)
-            if not math.isfinite(val) or err > 1e-8:
-                raise QuadratureFailure(
-                    f"quadrature failed at (t, w) = ({tv}, {wv}): error {err}")
-            vals.append(val)
-        return float(frest(tv, wv, *vals))
-
-    return evaluate
 
 
 @dataclass
@@ -185,16 +147,24 @@ class ParamSolution:
 
     @cached_property
     def _xf(self):
-        return _numeric_fn(self.X)
+        return compile_numeric(self.X, (t, w))
 
     @cached_property
     def _uf(self):
-        return _numeric_fn(self.U)
+        return compile_numeric(self.U, (t, w))
+
+    @cached_property
+    def _validity_fns(self):
+        return [compile_numeric(cond, (t, w)) for cond in self.validity]
 
     def excluded(self, tv: float, wv: float, tol: float = 1e-9) -> bool:
-        for cond in self.validity:
-            val = complex(sp.sympify(cond).subs({t: tv, w: wv}))
-            if abs(val) < tol:
+        """True where a validity condition is within ``tol`` of 0 or has
+        no real value."""
+        for cond in self._validity_fns:
+            try:
+                if abs(cond(tv, wv)) < tol:
+                    return True
+            except EvalError:
                 return True
         return False
 
@@ -267,13 +237,13 @@ def residual(sol: ParamSolution, grid, h: float = 1e-5,
     if method == "exact" and not closed:
         raise SymcoreError("exact residual needs integral-free X and U")
 
-    xw_f = _numeric_fn(sol.X_w)
+    xw_f = compile_numeric(sol.X_w, (t, w))
     excluded = []
     worst = 0.0
     n_eval = 0
 
     if method == "exact":
-        res_f = _numeric_fn(sol.hs_residual_expr())
+        res_f = compile_numeric(sol.hs_residual_expr(), (t, w))
         for tv, wv in grid:
             if sol.excluded(tv, wv) or abs(xw_f(tv, wv)) < jacobian_floor:
                 excluded.append((tv, wv))
@@ -426,7 +396,7 @@ class SingularCurve:
         """max |Φ(t, x, u)| of an implicit curve equation over the samples."""
         if not self.samples:
             raise SymcoreError("singular curve is empty")
-        f = sp.lambdify((t, x, sp.Symbol("u")), sp.sympify(implicit), "math")
+        f = compile_numeric(implicit, (t, x, u_sym))
         return max(abs(f(tv, xv, uv)) for tv, _, xv, uv in self.samples)
 
 
@@ -438,21 +408,22 @@ def singular_curve(sol: ParamSolution, times, w_window=(-40.0, -1e-3),
     (X_w touching 0, e.g. a squared factor) from sign changes of X_ww
     at which |X_w| falls below ``zero_tol``.
     """
-    xw_f = _numeric_fn(sol.X_w)
-    xww_f = _numeric_fn(sp.cancel(sp.together(sol.X_w.diff(w))))
+    xw_f = compile_numeric(sol.X_w, (t, w))
+    xww_f = compile_numeric(sp.cancel(sp.together(sol.X_w.diff(w))), (t, w))
     samples = []
     lo, hi = w_window
     for tv in times:
         ws = np.linspace(lo, hi, n)
         vals, dvals = [], []
         for wv in ws:
-            try:
-                bad = sol.excluded(tv, wv)
-                vals.append(math.nan if bad else xw_f(tv, wv))
-                dvals.append(math.nan if bad else xww_f(tv, wv))
-            except (ZeroDivisionError, OverflowError, ValueError):
-                vals.append(math.nan)
-                dvals.append(math.nan)
+            pair = math.nan, math.nan
+            if not sol.excluded(tv, wv):
+                try:
+                    pair = xw_f(tv, wv), xww_f(tv, wv)
+                except EvalError:
+                    pass
+            vals.append(pair[0])
+            dvals.append(pair[1])
         roots = []
         # a sign change may come from a pole rather than a root, in which
         # case the bracketed solve blows up and the bracket is skipped
@@ -461,7 +432,7 @@ def singular_curve(sol: ParamSolution, times, w_window=(-40.0, -1e-3),
                 continue
             try:
                 roots.append(brentq(lambda z: xw_f(tv, z), a, b, xtol=1e-14))
-            except (ZeroDivisionError, OverflowError, ValueError):
+            except EvalError:
                 continue
         for a, b, da, db in zip(ws, ws[1:], dvals, dvals[1:]):
             if math.isnan(da) or math.isnan(db) or da * db > 0:
@@ -469,7 +440,7 @@ def singular_curve(sol: ParamSolution, times, w_window=(-40.0, -1e-3),
             try:
                 crit = brentq(lambda z: xww_f(tv, z), a, b, xtol=1e-14)
                 near_zero = abs(xw_f(tv, crit)) < zero_tol
-            except (ZeroDivisionError, OverflowError, ValueError):
+            except EvalError:
                 continue
             if near_zero and not any(abs(crit - r) < 1e-8 for r in roots):
                 roots.append(crit)
@@ -539,8 +510,8 @@ def flowed_constraint_residual(sol: ParamSolution, generator: str, s: float,
     """max |constraint_G(transform_g(g))| over the flowed surface."""
     g2 = transform_g(generator, s, sol.g)
     G2 = constraint_G(g2)
-    G2_f = sp.lambdify((t, u_x, u_xx), G2, "math")
-    uxx_f = _numeric_fn(sol.jets["u_xx"])
+    G2_f = compile_numeric(G2, (t, u_x, u_xx))
+    uxx_f = compile_numeric(sol.jets["u_xx"], (t, w))
     worst = 0.0
     for tv, wv in grid:
         if sol.excluded(tv, wv):
@@ -548,7 +519,7 @@ def flowed_constraint_residual(sol: ParamSolution, generator: str, s: float,
         pt = {"t": tv, "x": sol.x_of(tv, wv), "u": sol.u_of(tv, wv),
               "u_x": u_x_of_w(tv, wv), "u_xx": uxx_f(tv, wv)}
         moved = flow_jet(generator, s, pt)
-        worst = max(worst, abs(float(G2_f(moved["t"], moved["u_x"], moved["u_xx"]))))
+        worst = max(worst, abs(G2_f(moved["t"], moved["u_x"], moved["u_xx"])))
     return worst
 
 
@@ -604,7 +575,7 @@ def surface_csv(sol: ParamSolution, times, w_values, path: str,
     flag: 0 ok, 1 validity exclusion, 2 singular (|X_w| below floor),
     3 evaluation failure. Failed rows carry empty x/u fields, never NaNs.
     """
-    xw_f = _numeric_fn(sol.X_w)
+    xw_f = compile_numeric(sol.X_w, (t, w))
     rows = ["t,w,x,u,u_x,flag"]
     count = 0
     for tv in times:
@@ -622,7 +593,7 @@ def surface_csv(sol: ParamSolution, times, w_values, path: str,
                     if abs(xw_f(tv, wv)) < jacobian_floor:
                         flag = 2
                     xs, us = format_float(sol.x_of(tv, wv)), format_float(sol.u_of(tv, wv))
-                except (QuadratureFailure, ZeroDivisionError, OverflowError, ValueError):
+                except EvalError:
                     flag = 3
                     xs = us = ""
             rows.append(",".join([format_float(tv), format_float(wv), xs, us, uxs, str(flag)]))

@@ -23,6 +23,7 @@ from .symcore import (
     SymcoreError,
     ZeroVerdict,
     exact_residual,
+    exact_zero,
     is_zero,
     jets_in,
     max_jet_order,
@@ -115,10 +116,6 @@ class TresseFrame:
             exact_residual(self.d_J(self.I)),
             exact_residual(self.d_J(self.J) - 1),
         ]
-
-
-def tresse_frame(I: sp.Expr, J: sp.Expr, M: PdeManifold) -> TresseFrame:
-    return TresseFrame(I, J, M)
 
 
 @dataclass
@@ -244,21 +241,25 @@ def check_quotient_solution(s: Syzygy, sol: QuotientSolution, **zero_opts) -> Ze
     """Verify that a closed-form solution satisfies the syzygy identically.
 
     Works at the token level (functions of I, J and formal parameters),
-    no jet realization involved.
+    no jet realization involved. The residual is zero-tested exactly; an
+    implicit solution may instead annihilate it only modulo Φ = 0, which
+    is decided exactly when Φ is polynomial in the base token. Only a
+    claim that neither test proves is normalized and sampled.
     """
     residual = s.lhs.xreplace(sol.token_substitution())
-    verdict = is_zero(normalize(residual), **zero_opts)
-    if verdict.is_zero or sol.implicit is None:
-        return verdict
-    # A first-integral representation usually annihilates the residual
-    # identically; failing that, the residual may still vanish modulo
-    # Φ = 0, which we can decide when Φ is polynomial in the base token.
-    phi = sp.sympify(sol.implicit)
-    if phi.is_polynomial(sol.base):
+    if exact_zero(residual):
+        return ZeroVerdict(True, "deterministic")
+    rem = None
+    phi = None if sol.implicit is None else sp.sympify(sol.implicit)
+    if phi is not None and phi.is_polynomial(sol.base):
         num, _ = sp.fraction(sp.together(residual))
         _, rem = sp.div(sp.expand(num), sp.expand(phi), sol.base)
-        return is_zero(normalize(rem), **zero_opts)
-    return verdict
+        if exact_zero(rem):
+            return ZeroVerdict(True, "deterministic")
+    verdict = is_zero(normalize(residual), **zero_opts)
+    if verdict.is_zero or rem is None:
+        return verdict
+    return is_zero(normalize(rem), **zero_opts)
 
 
 # ---------------------------------------------------------------------------

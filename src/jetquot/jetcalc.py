@@ -1,7 +1,7 @@
 """Jet-space calculus.
 
-Total derivatives, the horizontal differential, contact forms on J^k and
-prolongation of point vector fields to jet space.
+Total derivatives, contact forms on J^k and prolongation of point
+vector fields to jet space.
 """
 
 from __future__ import annotations
@@ -45,11 +45,6 @@ def Dt(e: sp.Expr, cap: int = DEFAULT_ORDER_CAP) -> sp.Expr:
 
 def Dx(e: sp.Expr, cap: int = DEFAULT_ORDER_CAP) -> sp.Expr:
     return total_derivative(e, "x", cap)
-
-
-def horizontal_differential(e: sp.Expr, cap: int = DEFAULT_ORDER_CAP) -> tuple[sp.Expr, sp.Expr]:
-    """Coefficients (of dt, of dx) of the horizontal differential of e."""
-    return Dt(e, cap), Dx(e, cap)
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,11 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import sympy as sp
+from scipy.integrate import quad
 from sympy import Rational, Symbol
 from sympy.core.function import AppliedUndef
 from sympy.polys.domains import QQ
@@ -54,7 +54,8 @@ class ExprSyntaxError(SymcoreError):
 
 
 class EvalError(SymcoreError):
-    """Numeric evaluation hit a pole, domain error or bad quadrature."""
+    """Numeric evaluation hit a pole, a domain or overflow error, a
+    non-real value, failed quadrature or an unbound symbol."""
 
     def __init__(self, message, subexpr=None):
         if subexpr is not None:
@@ -992,115 +993,59 @@ def is_zero(e: sp.Expr, samples: int = 8, max_resamples: int = 32,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class QuadratureSettings:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    limit: int = 200
+def compile_numeric(expr: sp.Expr, args: Sequence[Symbol]) -> Callable[..., float]:
+    """Compile ``expr`` once into a float function of ``args``.
 
-
-def eval_numeric(e: sp.Expr, env: Mapping, quad: QuadratureSettings | None = None) -> float:
-    """Evaluate to a float.
-
-    ``env`` binds symbols to numbers and formal-function names to python
-    callables (the name with primes selects a derivative: ``"g'"``) or to
-    ``(params, expr)`` pairs, which are bound symbolically first.
-    Formal integrals go through adaptive quadrature.
+    Each Integral becomes a slot that adaptive quadrature fills at call
+    time. A call returns a float or raises :class:`EvalError` at a pole,
+    on a domain or overflow error, for a non-real value (an even root or
+    a fractional power of a negative number) and when quadrature does
+    not converge. A free symbol outside ``args`` or a formal function
+    raises EvalError here, at compile time.
     """
-    quad = quad or QuadratureSettings()
-    e = sp.sympify(e)
-    closures: dict[str, Callable] = {}
-    numbers: dict[Symbol, float] = {}
-    for key, val in env.items():
-        if isinstance(key, str):
-            if callable(val):
-                closures[key] = val
-            else:
-                params, expr = val
-                e = bind_formal(e, key, params, expr)
-        else:
-            numbers[key] = float(val)
-    return _eval(e, numbers, closures, quad)
+    expr = sp.sympify(expr)
+    args = tuple(args)
+    unbound = (expr.free_symbols - set(args)) | expr.atoms(AppliedUndef, FormalFunction)
+    if unbound:
+        raise EvalError("no numeric value for " + ", ".join(sorted(map(str, unbound))), expr)
+    integrals = sorted(expr.atoms(sp.Integral), key=sp.default_sort_key)
+    slots = tuple(Symbol(f"_quad{k}") for k in range(len(integrals)))
+    quads = [_quadrature(integral, args) for integral in integrals]
+    f = sp.lambdify(args + slots, expr.xreplace(dict(zip(integrals, slots))), "math")
+
+    def evaluate(*point) -> float:
+        point = tuple(map(float, point))
+        try:
+            val = f(*point, *[q(point) for q in quads]) if quads else f(*point)
+        except ZeroDivisionError:
+            raise EvalError(f"pole at {point}") from None
+        except (OverflowError, ValueError) as exc:
+            raise EvalError(f"{exc} at {point}") from None
+        except TypeError:
+            if len(point) != len(args):
+                raise
+            # a complex intermediate reached a real function
+            raise EvalError(f"non-real value at {point}") from None
+        if isinstance(val, complex):
+            raise EvalError(f"non-real value at {point}")
+        return float(val)
+
+    return evaluate
 
 
-def _eval(e, numbers, closures, quad):
-    from scipy import integrate
+def _quadrature(integral: sp.Integral, args: tuple) -> Callable[[tuple], float]:
+    """point -> value of a definite integral, by adaptive quadrature over
+    its outermost variable (inner ones recurse through the integrand)."""
+    *inner, (var, lo, hi) = integral.limits
+    integrand = sp.Integral(integral.function, *inner) if inner else integral.function
+    integrand = compile_numeric(integrand, (var,) + args)
+    lo_f, hi_f = compile_numeric(lo, args), compile_numeric(hi, args)
 
-    if e.is_Number:
-        if e.has(sp.zoo, sp.nan):
-            raise EvalError("undefined constant", e)
-        return float(e)
-    if e is sp.pi:
-        return math.pi
-    if e is sp.E:
-        return math.e
-    if isinstance(e, Symbol):
-        if e not in numbers:
-            raise EvalError("unbound atom", e)
-        return numbers[e]
-    if e.is_Add:
-        return sum(_eval(a, numbers, closures, quad) for a in e.args)
-    if e.is_Mul:
-        out = 1.0
-        for a in e.args:
-            out *= _eval(a, numbers, closures, quad)
-        return out
-    if e.is_Pow:
-        base = _eval(e.base, numbers, closures, quad)
-        expo = _eval(e.exp, numbers, closures, quad)
-        if base == 0 and expo < 0:
-            raise EvalError("pole", e)
-        if base < 0 and expo != int(expo):
-            # real principal branch via the odd real root when possible
-            frac = Fraction(expo).limit_denominator(1000)
-            if frac.denominator % 2 == 1:
-                return math.copysign(abs(base) ** float(frac), base if frac.numerator % 2 else 1.0)
-            raise EvalError("negative base with even root", e)
-        return base**expo
-    if isinstance(e, sp.exp):
-        return math.exp(_eval(e.args[0], numbers, closures, quad))
-    if isinstance(e, sp.log):
-        v = _eval(e.args[0], numbers, closures, quad)
-        if v <= 0:
-            raise EvalError("log of a non-positive value", e)
-        return math.log(v)
-    if isinstance(e, sp.atanh):
-        return math.atanh(_eval(e.args[0], numbers, closures, quad))
-    if isinstance(e, (sp.sin, sp.cos)):
-        fn = math.sin if isinstance(e, sp.sin) else math.cos
-        return fn(_eval(e.args[0], numbers, closures, quad))
-    if is_formal(e) or isinstance(e, AppliedUndef):
-        name = str(e.func) if not is_formal(e) else _formal_display(e.base_name, e.deriv_orders)
-        if name not in closures:
-            raise EvalError(f"no closure bound for formal function {name!r}", e)
-        args = [_eval(a, numbers, closures, quad) for a in e.args]
-        return float(closures[name](*args))
-    if isinstance(e, sp.Integral):
-        if len(e.limits) != 1:
-            raise EvalError("only single formal integrals are supported", e)
-        var, lo, hi = e.limits[0]
-        lo_v = _eval(lo, numbers, closures, quad)
-        hi_v = _eval(hi, numbers, closures, quad)
-
-        def integrand(v):
-            inner = dict(numbers)
-            inner[var] = v
-            return _eval(e.function, inner, closures, quad)
-
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", integrate.IntegrationWarning)
-            try:
-                val, err = integrate.quad(
-                    integrand, lo_v, hi_v,
-                    epsabs=quad.abs_tol, epsrel=quad.rel_tol, limit=quad.limit,
-                )
-            except integrate.IntegrationWarning as exc:
-                raise EvalError(f"quadrature did not converge ({exc})", e) from None
-        if not math.isfinite(val):
-            raise EvalError("non-integrable singularity in quadrature range", e)
+    def value(point: tuple) -> float:
+        val, err = quad(lambda z: integrand(z, *point), lo_f(*point), hi_f(*point),
+                        epsabs=1e-12, epsrel=1e-12, limit=200)
+        if not math.isfinite(val) or err > 1e-8:
+            raise EvalError(f"quadrature failed at {point}: error {err}")
         return val
-    if isinstance(e, sp.Derivative):
-        raise EvalError("cannot evaluate an unresolved derivative", e)
-    raise EvalError(f"cannot evaluate node of type {type(e).__name__}", e)
+
+    return value

@@ -65,6 +65,22 @@ def test_hs_solve_deterministic_output(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+@pytest.mark.parametrize("g", ["sqrt(w)", "w^(1/3)"])
+def test_hs_solve_flags_roots_of_negative_w(capsys, tmp_path, monkeypatch, g):
+    # no real value where w < 0: those rows carry flag 3 and empty x, u
+    monkeypatch.setenv("JETQUOT_OUTPUT_DIR", str(tmp_path))
+    code, _, _ = run(capsys, "hs", "solve", "--g", g, "--C", "0",
+                     "--t", "0:1:0.5", "--w", "-1:1:0.5")
+    assert code == 0
+    rows = [r.split(",") for r in (tmp_path / "hs_surface.csv").read_text().split()[1:]]
+    assert len(rows) == 15
+    for tv, wv, xs, us, _, flag in rows:
+        if float(wv) < 0:
+            assert (xs, us, flag) == ("", "", "3")
+        else:
+            assert flag in "02" and xs != ""
+
+
 def test_hs_cauchy_report(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("JETQUOT_OUTPUT_DIR", str(tmp_path))
     code, out, _ = run(capsys, "hs", "cauchy", "--t0", "1", "--u0", "x^2")
@@ -207,6 +223,26 @@ def test_run_rejects_unknown_keys(capsys, tmp_path):
     path = _write(tmp_path, {"action": "solve", "parameters": {"bogus": "1"}})
     code, _, err = run(capsys, "run", path)
     assert code == 2
+
+
+def test_run_cauchy_action_passes_times(capsys, tmp_path):
+    times = [1, 1.5, 2]
+    out = tmp_path / "cauchy.json"
+    path = _write(tmp_path, {"action": "cauchy",
+                             "parameters": {"t0": 1, "u0": "x^2", "times": times,
+                                            "out": str(out)}})
+    code, _, _ = run(capsys, "run", path)
+    assert code == 0
+    # the default residual window has 20 points per time
+    assert json.loads(out.read_text())["residual"]["evaluated"] == len(times) * 20
+
+
+def test_run_rejects_missing_required_parameters(capsys, tmp_path):
+    for doc in ({"action": "cauchy", "parameters": {"t0": 1}},
+                {"action": "transform", "parameters": {"g": "w"}},
+                {"action": "characteristics"}):
+        code, _, err = run(capsys, "run", _write(tmp_path, doc))
+        assert code == 2 and "rejected" in err
 
 
 def test_run_transform_action(capsys, tmp_path):

@@ -135,6 +135,14 @@ def test_validity_exclusion():
     assert not sol.excluded(1.0, 0.5)
 
 
+def test_validity_without_a_value_excludes():
+    # a pole or a non-real value of a condition excludes the point
+    sol = general_solution(sp.exp(w), sp.Integer(0), validity=(1 / w, sp.sqrt(w + 1)))
+    assert sol.excluded(1.0, 0.0)
+    assert sol.excluded(1.0, -2.0)
+    assert not sol.excluded(1.0, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # Cauchy data
 # ---------------------------------------------------------------------------

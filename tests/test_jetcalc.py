@@ -12,7 +12,6 @@ from jetquot.jetcalc import (
     VectorField,
     apply_prolonged,
     cartan_forms,
-    horizontal_differential,
     prolong,
 )
 from jetquot.symcore import JetVar, jet, normalize, t, x
@@ -27,6 +26,8 @@ def test_total_derivative_definition():
     assert Dx(t * u_x) == t * u_xx
     assert Dt(x * u) == x * u_t
     assert Dx(u * u_x) == u_x**2 + u * u_xx
+    assert Dt(u_x**2) == 2 * u_x * u_tx
+    assert Dx(u_x**2) == 2 * u_x * u_xx
 
 
 def test_total_derivatives_commute():
@@ -45,13 +46,6 @@ def test_order_cap():
     with pytest.raises(OrderCapError):
         Dx(e)
     assert Dx(e, cap=9) == jet(0, 9)
-
-
-def test_horizontal_differential():
-    e = u_x**2
-    dt_c, dx_c = horizontal_differential(e)
-    assert dt_c == 2 * u_x * u_tx
-    assert dx_c == 2 * u_x * u_xx
 
 
 def test_cartan_forms_count_and_shape():

@@ -13,8 +13,8 @@ from jetquot.symcore import (
     JetVar,
     bind_formal,
     canonical_jet_name,
+    compile_numeric,
     differentiate,
-    eval_numeric,
     formal,
     formal_integral,
     is_zero,
@@ -233,27 +233,58 @@ def test_is_zero_seed_determinism():
 
 
 def test_eval_numeric_basic():
-    assert eval_numeric(t**2 + 1, {t: 3.0}) == 10.0
+    f = compile_numeric(t**2 + 1, (t,))
+    assert f(3.0) == 10.0 and type(f(3)) is float
 
 
 def test_eval_numeric_closure_and_quadrature():
     import math
 
     v, w = sp.symbols("v w")
-    g = formal("g")
-    e = formal_integral(g(v), v, w)
-    val = eval_numeric(e, {w: 1.0, "g": math.exp})
-    assert abs(val - (math.e - 1)) < 1e-9
+    # integrals, nested ones too, are filled by quadrature at call time
+    f = compile_numeric(formal_integral(sp.exp(v), v, w), (w,))
+    assert abs(f(1.0) - (math.e - 1)) < 1e-9
+    inner = formal_integral(t, t, v)
+    f = compile_numeric(formal_integral(inner, v, w) + w, (w,))
+    assert abs(f(1.0) - (1 / 6 + 1)) < 1e-12
+    # a formal function has no numeric value: refused when compiled
+    with pytest.raises(EvalError):
+        compile_numeric(formal_integral(formal("g")(v), v, w), (w,))
 
 
 def test_eval_numeric_pole():
     with pytest.raises(EvalError):
-        eval_numeric(1 / t, {t: 0.0})
+        compile_numeric(1 / t, (t,))(0.0)
 
 
 def test_eval_numeric_unbound():
     with pytest.raises(EvalError):
-        eval_numeric(t + x, {t: 1.0})
+        compile_numeric(t + x, (t,))
+
+
+@pytest.mark.parametrize("e, at", [
+    (sp.sqrt(t), -1.0),
+    (t ** sp.Rational(1, 3), -8.0),  # odd roots too take the principal branch
+    (sp.exp(sp.sqrt(t)), -1.0),      # a complex value inside a real function
+    (sp.log(t), -1.0),
+    (sp.exp(t), 1000.0),
+    (formal_integral(1 / sp.Symbol("v"), sp.Symbol("v"), t), 1.0),
+], ids=["even root", "odd root", "complex inside exp", "domain", "overflow",
+        "divergent quadrature"])
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_eval_numeric_error_contract(e, at):
+    with pytest.raises(EvalError):
+        compile_numeric(e, (t,))(at)
+
+
+def test_lambdify_only_in_symcore():
+    import pathlib
+
+    import jetquot
+
+    package = pathlib.Path(jetquot.__file__).parent
+    users = sorted(p.name for p in package.glob("*.py") if "lambdify" in p.read_text())
+    assert users == ["symcore.py"]
 
 
 # ---------------------------------------------------------------------------

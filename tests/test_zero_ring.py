@@ -152,6 +152,24 @@ def test_holding_claims_are_not_normalized(monkeypatch):
     assert calls == []
 
 
+def test_quotient_solutions_are_decided_exactly(monkeypatch):
+    # holding quotient solutions, the implicit ones too, never reach
+    # normalize or the random-evaluation stage
+    import jetquot.invariants as inv
+
+    calls = _count_normalize(monkeypatch, [symcore, inv])
+    modes = []
+    monkeypatch.setattr(inv, "is_zero", lambda e, **kw: modes.append(is_zero(e, **kw)))
+    solved = 0
+    for e in catalog.entries().values():
+        for spec in e.solutions:
+            verdict = inv.check_quotient_solution(spec.specialized_syzygy(e.syzygies),
+                                                  spec.solution)
+            assert verdict.mode == "deterministic"
+            solved += 1
+    assert solved == 17 and calls == [] and modes == []
+
+
 def test_failing_claim_certificate_is_the_normal_form(monkeypatch):
     import jetquot.pde as pde
 
