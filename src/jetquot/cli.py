@@ -444,10 +444,9 @@ def _problem_argv(doc: dict) -> list[str]:
         return ["verify", entry] if entry else ["verify", "--all"]
     if action == "solve" and entry in (None, "hunter-saxton"):
         grid = p.get("grid", {})
-        tol = p.get("tolerances", {})
         return ["hs", "solve", f"--g={p.get('g', 'exp(w)')}",
                 f"--t={grid.get('t', '0:2.5:0.5')}", f"--w={grid.get('w', '-4:0.9')}",
-                *flags("C", "out"), *([f"--tol={tol['zero']}"] if "zero" in tol else [])]
+                *flags("C", "out")]
     if action == "solve":
         return ["catalog", "solve", entry, *flags("g", "C"), *params]
     if action == "cauchy":

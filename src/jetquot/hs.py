@@ -228,8 +228,8 @@ def residual(sol: ParamSolution, grid, h: float = 1e-5,
 
     Uses exact symbolic partials when the surface is integral-free,
     otherwise Richardson-extrapolated central differences with step h.
-    Points with |X_w| below ``jacobian_floor`` or inside a validity
-    exclusion are skipped and reported.
+    Points with |X_w| below ``jacobian_floor``, inside a validity
+    exclusion or where evaluation fails are skipped and reported.
     """
     closed = not (sol.X.has(sp.Integral) or sol.U.has(sp.Integral))
     if method == "auto":
@@ -237,51 +237,50 @@ def residual(sol: ParamSolution, grid, h: float = 1e-5,
     if method == "exact" and not closed:
         raise SymcoreError("exact residual needs integral-free X and U")
 
-    xw_f = compile_numeric(sol.X_w, (t, w))
+    if method == "exact":
+        xw_f = compile_numeric(sol.X_w, (t, w))
+        res_f = compile_numeric(sol.hs_residual_expr(), (t, w))
+
+        def at(tv, wv):
+            if abs(xw_f(tv, wv)) < jacobian_floor:
+                return None
+            return abs(res_f(tv, wv))
+    else:
+        X_f, U_f = sol._xf, sol._uf
+
+        def d(fn, tv, wv, wrt):
+            # 4th-order Richardson central difference
+            def shift(k):
+                if wrt == "t":
+                    return fn(tv + k * h, wv)
+                return fn(tv, wv + k * h)
+            return (8 * (shift(1) - shift(-1)) - (shift(2) - shift(-2))) / (12 * h)
+
+        def at(tv, wv):
+            Xw = d(X_f, tv, wv, "w")
+            if abs(Xw) < jacobian_floor:
+                return None
+            wt = -d(X_f, tv, wv, "t") / Xw
+            ux = u_x_of_w(tv, wv)
+            # u_x(t, w) = 2w/(tw+2) exactly; differentiate it analytically
+            ux_w = 4 / (tv * wv + 2)**2
+            ux_t = -2 * wv**2 / (tv * wv + 2)**2
+            uxx = ux_w / Xw
+            utx = ux_t + ux_w * wt
+            return abs(utx + U_f(tv, wv) * uxx + ux**2 / 2)
+
     excluded = []
     worst = 0.0
     n_eval = 0
-
-    if method == "exact":
-        res_f = compile_numeric(sol.hs_residual_expr(), (t, w))
-        for tv, wv in grid:
-            if sol.excluded(tv, wv) or abs(xw_f(tv, wv)) < jacobian_floor:
-                excluded.append((tv, wv))
-                continue
-            worst = max(worst, abs(res_f(tv, wv)))
-            n_eval += 1
-        return ResidualReport(worst, n_eval, excluded)
-
-    X_f, U_f = sol._xf, sol._uf
-
-    def d(fn, tv, wv, wrt):
-        # 4th-order Richardson central difference
-        def shift(k):
-            if wrt == "t":
-                return fn(tv + k * h, wv)
-            return fn(tv, wv + k * h)
-        return (8 * (shift(1) - shift(-1)) - (shift(2) - shift(-2))) / (12 * h)
-
     for tv, wv in grid:
-        if sol.excluded(tv, wv):
+        try:
+            r = None if sol.excluded(tv, wv) else at(tv, wv)
+        except EvalError:
+            r = None
+        if r is None:
             excluded.append((tv, wv))
             continue
-        Xw = d(X_f, tv, wv, "w")
-        if abs(Xw) < jacobian_floor:
-            excluded.append((tv, wv))
-            continue
-        Xt = d(X_f, tv, wv, "t")
-        Ut = d(U_f, tv, wv, "t")
-        ux = u_x_of_w(tv, wv)
-        wt = -Xt / Xw
-        uval = U_f(tv, wv)
-        ut = Ut + d(U_f, tv, wv, "w") * wt
-        # u_x(t, w) = 2w/(tw+2) exactly; differentiate it analytically
-        ux_w = 4 / (tv * wv + 2)**2
-        ux_t = -2 * wv**2 / (tv * wv + 2)**2
-        uxx = ux_w / Xw
-        utx = ux_t + ux_w * wt
-        worst = max(worst, abs(utx + uval * uxx + ux**2 / 2))
+        worst = max(worst, r)
         n_eval += 1
     return ResidualReport(worst, n_eval, excluded)
 

@@ -64,10 +64,11 @@ class InvariantDerivation:
         self.M = M
 
     def apply(self, e: sp.Expr) -> sp.Expr:
-        out = self.M.restrict(
+        """The restricted derivative, in no normal form: the zero test
+        reduces it once, in the ring."""
+        return self.M.restrict(
             self.alpha * Dt(e, self.M.cap) + self.beta * Dx(e, self.M.cap)
         )
-        return sp.together(out)
 
     def __call__(self, e: sp.Expr) -> sp.Expr:
         return self.apply(e)
@@ -87,17 +88,15 @@ class TresseFrame:
         self.M = M
         It, Ix = M.restrict(Dt(self.I, M.cap)), M.restrict(Dx(self.I, M.cap))
         Jt, Jx = M.restrict(Dt(self.J, M.cap)), M.restrict(Dx(self.J, M.cap))
-        self.dI = (It, Ix)
-        self.dJ = (Jt, Jx)
-        det = sp.cancel(It * Jx - Ix * Jt)
-        if det == 0:
+        det = It * Jx - Ix * Jt
+        if exact_zero(det):
             raise DegenerateFrameError(
                 f"horizontal differentials of {self.I} and {self.J} are "
                 f"dependent on the equation manifold"
             )
         self.det = det
-        self.d_I = InvariantDerivation(sp.cancel(Jx / det), sp.cancel(-Jt / det), M)
-        self.d_J = InvariantDerivation(sp.cancel(-Ix / det), sp.cancel(It / det), M)
+        self.d_I = InvariantDerivation(Jx / det, -Jt / det, M)
+        self.d_J = InvariantDerivation(-Ix / det, It / det, M)
         self.genericity = M.genericity.extended(det)
 
     def derivation(self, which: str) -> InvariantDerivation:
@@ -241,25 +240,20 @@ def check_quotient_solution(s: Syzygy, sol: QuotientSolution, **zero_opts) -> Ze
     """Verify that a closed-form solution satisfies the syzygy identically.
 
     Works at the token level (functions of I, J and formal parameters),
-    no jet realization involved. The residual is zero-tested exactly; an
-    implicit solution may instead annihilate it only modulo Φ = 0, which
-    is decided exactly when Φ is polynomial in the base token. Only a
-    claim that neither test proves is normalized and sampled.
+    no jet realization involved. An implicit solution need annihilate the
+    residual only modulo Φ = 0; when Φ is polynomial in the base token the
+    residual is replaced by its remainder modulo Φ. The residual is
+    zero-tested exactly once; only a claim that fails is normalized and
+    sampled.
     """
     residual = s.lhs.xreplace(sol.token_substitution())
-    if exact_zero(residual):
-        return ZeroVerdict(True, "deterministic")
-    rem = None
     phi = None if sol.implicit is None else sp.sympify(sol.implicit)
     if phi is not None and phi.is_polynomial(sol.base):
         num, _ = sp.fraction(sp.together(residual))
-        _, rem = sp.div(sp.expand(num), sp.expand(phi), sol.base)
-        if exact_zero(rem):
-            return ZeroVerdict(True, "deterministic")
-    verdict = is_zero(normalize(residual), **zero_opts)
-    if verdict.is_zero or rem is None:
-        return verdict
-    return is_zero(normalize(rem), **zero_opts)
+        _, residual = sp.div(sp.expand(num), sp.expand(phi), sol.base)
+    if exact_zero(residual):
+        return ZeroVerdict(True, "deterministic")
+    return is_zero(normalize(residual), **zero_opts)
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +292,11 @@ def discover_syzygy(invariants: dict[str, sp.Expr], fr: TresseFrame, M: PdeManif
     if degree > 4:
         raise SymcoreError("ansatz degree capped at 4")
     rng = random.Random(seed)
-    bindings = {Symbol(name): M.restrict(sp.sympify(e)) for name, e in invariants.items()}
-
-    realizations: dict[Symbol, sp.Expr] = {
-        I_tok: M.restrict(fr.I),
-        J_tok: M.restrict(fr.J),
-    }
-    realizations.update(bindings)
+    tokens = [I_tok, J_tok]
     for name in invariants:
-        realizations[Symbol(f"{name}_I")] = fr.d_I(bindings[Symbol(name)])
-        realizations[Symbol(f"{name}_J")] = fr.d_J(bindings[Symbol(name)])
-
-    tokens = sorted(realizations.keys(), key=lambda s: (len(s.name), s.name))
+        tokens += sp.symbols(f"{name} {name}_I {name}_J")
+    realizations = realize_tokens(sp.Add(*tokens), fr, invariants)
+    tokens = list(realizations)
     monomials = []
     for d in range(degree + 1):
         for combo in itertools.combinations_with_replacement(tokens, d):
@@ -347,7 +334,7 @@ def discover_syzygy(invariants: dict[str, sp.Expr], fr: TresseFrame, M: PdeManif
             continue
         lhs = sp.Add(*[c * m for c, m in zip(coeffs, monomials)])
         candidate = Syzygy(lhs)
-        if check_syzygy(candidate, fr, bindings, M):
+        if check_syzygy(candidate, fr, invariants, M):
             result.syzygies.append(candidate)
         else:
             result.spurious.append(lhs)

@@ -667,20 +667,21 @@ class ZeroVerdict:
         return f"ZeroVerdict({self.is_zero}, {self.mode!r})"
 
 
-def _deterministic_zero(e: sp.Expr) -> bool:
+def exact_zero(e: sp.Expr) -> bool:
+    """Stage 1 of :func:`is_zero` alone: True when e is provably zero."""
+    if e == 0:
+        return True
     # align bound variables so dummy-renamed integrals share one kernel
     e = _canon_integral_dummies(sp.sympify(e))
     if _kernel_rational_zero(e):
         return True
     # same-base powers with symbolic exponents (x**a * x**b) kernelize to
-    # unrelated symbols; combining exponents first is always sound
+    # unrelated symbols; combining exponents first is always sound, and
+    # has nothing to combine where every power and exp has a rational one
+    if all(p.exp.is_Rational for p in e.atoms(sp.Pow, sp.exp)):
+        return False
     combined = sp.powsimp(e, combine="exp")
     return combined is not e and _kernel_rational_zero(combined)
-
-
-def exact_zero(e: sp.Expr) -> bool:
-    """Stage 1 of :func:`is_zero` alone: True when e is provably zero."""
-    return e == 0 or _deterministic_zero(e)
 
 
 def exact_residual(e: sp.Expr) -> sp.Expr:

@@ -81,6 +81,16 @@ def test_hs_solve_flags_roots_of_negative_w(capsys, tmp_path, monkeypatch, g):
             assert flag in "02" and xs != ""
 
 
+def test_hs_solve_residual_grid_excludes_failed_points(capsys, tmp_path, monkeypatch):
+    # sqrt(w) has no real value where w < 0: those points are excluded,
+    # not fatal to the residual check
+    monkeypatch.setenv("JETQUOT_OUTPUT_DIR", str(tmp_path))
+    code, out, _ = run(capsys, "hs", "solve", "--g", "sqrt(w)", "--C", "0",
+                       "--t", "0:1:0.5", "--w", "-1:1:0.5", "--residual-grid")
+    assert code == 0
+    assert "over 6 points (9 excluded)" in out
+
+
 def test_hs_cauchy_report(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("JETQUOT_OUTPUT_DIR", str(tmp_path))
     code, out, _ = run(capsys, "hs", "cauchy", "--t0", "1", "--u0", "x^2")
@@ -243,6 +253,15 @@ def test_run_rejects_missing_required_parameters(capsys, tmp_path):
                 {"action": "characteristics"}):
         code, _, err = run(capsys, "run", _write(tmp_path, doc))
         assert code == 2 and "rejected" in err
+
+
+def test_run_rejects_tolerances(capsys, tmp_path, monkeypatch):
+    # no problem-file key turns on the residual check that --tol gates
+    monkeypatch.setenv("JETQUOT_OUTPUT_DIR", str(tmp_path))
+    path = _write(tmp_path, {"action": "solve",
+                             "parameters": {"tolerances": {"zero": 1e-8}}})
+    code, _, err = run(capsys, "run", path)
+    assert code == 2 and "problem file rejected" in err
 
 
 def test_run_transform_action(capsys, tmp_path):

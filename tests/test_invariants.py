@@ -57,9 +57,23 @@ def test_duality_identities(burgers_frame, hs_frame):
         assert all(r == 0 for r in fr.duality_residuals())
 
 
-def test_degenerate_frame_raises(burgers):
+@pytest.mark.parametrize("I, J", [(u_x, 2 * u_x), (u_x / u_xx, u_xx / u_x)],
+                         ids=["proportional", "reciprocal"])
+def test_degenerate_frame_raises(burgers, I, J):
+    # the second pair's raw determinant is zero only after cancellation
     with pytest.raises(DegenerateFrameError):
-        TresseFrame(u_x, 2 * u_x, burgers)
+        TresseFrame(I, J, burgers)
+
+
+def test_tresse_derivations_take_no_expr_normal_form():
+    # the ring zero test is the only exact step between derive and verdict
+    import inspect
+
+    from jetquot.invariants import InvariantDerivation
+
+    for cls in (InvariantDerivation, TresseFrame):
+        source = inspect.getsource(cls)
+        assert "together" not in source and "cancel" not in source, cls.__name__
 
 
 def test_commutation(burgers_frame, burgers, hs_frame, hs):

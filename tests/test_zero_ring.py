@@ -76,6 +76,13 @@ def test_relations_are_needed_for_roots_and_exponents():
         assert not _ring_numerator(body, k.table)
 
 
+def test_symbolic_exponents_are_combined_before_a_second_ring_pass():
+    b = sp.Symbol("b")
+    e = _unevaluated(x**a, x**b) - x ** (a + b)
+    assert not _kernel_rational_zero(e)
+    assert exact_zero(e) and not exact_zero(e + DELTA * x)
+
+
 def test_ex41_stages_need_the_exponent_relation(monkeypatch):
     decided_by_relations = []
 
@@ -168,6 +175,28 @@ def test_quotient_solutions_are_decided_exactly(monkeypatch):
             assert verdict.mode == "deterministic"
             solved += 1
     assert solved == 17 and calls == [] and modes == []
+
+
+def test_failing_quotient_claim_is_sampled_once(monkeypatch):
+    # an implicit twin Φ + δ·I reaches is_zero once, with its remainder
+    # modulo Φ, and is refuted there
+    from dataclasses import replace
+
+    import jetquot.invariants as inv
+
+    modes = []
+
+    def counting(e, **kw):
+        modes.append(is_zero(e, **kw))
+        return modes[-1]
+
+    monkeypatch.setattr(inv, "is_zero", counting)
+    e = catalog.get("hunter-saxton")
+    spec = e.solutions[0]
+    twin = replace(spec.solution, implicit=spec.solution.implicit + DELTA * inv.I_tok)
+    verdict = inv.check_quotient_solution(spec.specialized_syzygy(e.syzygies), twin)
+    assert not verdict.is_zero and verdict.mode == "nonzero"
+    assert len(modes) == 1
 
 
 def test_failing_claim_certificate_is_the_normal_form(monkeypatch):
