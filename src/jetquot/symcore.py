@@ -16,10 +16,13 @@ QQ as numerator / product of primitive denominator factors. No gcd is
 taken, so the value is zero exactly when the numerator is; the root
 relations r**L = base and integer shifts between symbolic exponents are
 then reduced inside the ring. Stage 2 is a probabilistic fallback that
-evaluates the expression at random rational points (formal functions get
-random polynomial stand-ins). :func:`normalize` is the separate, printable
-rational normal form; the verification checks call it only to build the
-certificate of a claim that fails.
+evaluates the expression to 40 digits at random rational points: formal
+functions get random cubic stand-ins, and formal integrals are computed
+by 40-digit Gauss-Legendre quadrature, never integrated symbolically. A
+quadrature that misses its error bound rejects the sample like a pole
+does, and another point is drawn. :func:`normalize` is the separate,
+printable rational normal form; the verification checks call it only to
+build the certificate of a claim that fails.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+import mpmath
 import sympy as sp
 from scipy.integrate import quad
 from sympy import Rational, Symbol
@@ -659,6 +663,7 @@ class ZeroVerdict:
     is_zero: bool
     mode: str  # "deterministic" | "probabilistic" | "nonzero"
     witness: object = None
+    samples: int = 0  # stage-2 points drawn, rejected ones included
 
     def __bool__(self):
         return self.is_zero
@@ -934,7 +939,14 @@ def _proxy_env(e: sp.Expr, rng: random.Random):
 
 
 def _numeric_probe(e: sp.Expr, rng: random.Random, dps=40):
-    """Evaluate e at one random rational point; None signals a bad sample."""
+    """|e| to ``dps`` digits at one random rational point; None signals a
+    bad sample (a pole, a non-finite value, a failed quadrature).
+
+    Derivative nodes are evaluated without ``deep``, so no Integral is
+    integrated symbolically. Without integrals the point is substituted
+    exactly and the result rounded once; with them the expression is
+    compiled to mpmath and each integral is a quadrature.
+    """
     probe = e
     for name, params, expr in _proxy_env(e, rng):
         probe = bind_formal(probe, name, params, expr)
@@ -942,13 +954,20 @@ def _numeric_probe(e: sp.Expr, rng: random.Random, dps=40):
             lambda n: isinstance(n, AppliedUndef) and str(n.func).rstrip("'") == name,
             lambda n: expr.subs(dict(zip(params, n.args)), simultaneous=True),
         )
-    probe = probe.doit()
-    point = {s: _random_rational(rng) for s in probe.free_symbols}
+    probe = probe.replace(lambda n: isinstance(n, sp.Derivative),
+                          lambda n: n.doit(deep=False))
+    # name order, so that the point does not depend on the hash seed
+    syms = sorted(probe.free_symbols, key=lambda s: (s.name, sp.default_sort_key(s)))
+    point = {s: _random_rational(rng) for s in syms}
     try:
+        if probe.has(sp.Integral):
+            f = sp.lambdify(syms, probe, [{"quad": _gauss_legendre}, "mpmath"])
+            with mpmath.workdps(dps):
+                z = f(*(mpmath.mpf(point[s].p) / point[s].q for s in syms))
+                return sp.Float(mpmath.fabs(z), dps) if mpmath.isfinite(z) else None
         val = probe.xreplace(point)
-        val = val.doit() if val.has(sp.Integral, sp.Derivative) else val
         num = sp.N(val, dps)
-    except (ZeroDivisionError, ValueError, TypeError):
+    except (ZeroDivisionError, ValueError, TypeError, EvalError):
         return None
     if num.has(sp.zoo, sp.oo, -sp.oo, sp.nan):
         return None
@@ -956,17 +975,32 @@ def _numeric_probe(e: sp.Expr, rng: random.Random, dps=40):
         num = sp.N(sp.Abs(val), dps)
         if not num.is_comparable:
             return None
-        return abs(num)
     return abs(num)
+
+
+def _gauss_legendre(f, *intervals):
+    """mpmath.quad of bounded degree; raises EvalError unless the error
+    estimate is within 10**-(dps-5) of max(1, |value|)."""
+    value, error = mpmath.quad(f, *intervals, method="gauss-legendre", error=True,
+                               maxdegree=6)
+    tol = mpmath.mpf(10) ** (5 - mpmath.mp.dps) * max(1, abs(value))
+    if not (mpmath.isfinite(value) and error < tol):
+        raise EvalError(f"quadrature failed: error {error}")
+    return value
 
 
 def is_zero(e: sp.Expr, samples: int = 8, max_resamples: int = 32,
             seed: int = 20260823) -> ZeroVerdict:
     """Two-stage zero test.
 
-    Stage 1 is deterministic (rational normal form over kernels); stage 2
-    evaluates at ``samples`` random rational points. Poles trigger
-    resampling; too many bad samples raise :class:`IndeterminateZeroTest`.
+    Stage 1 is deterministic (the ring test of :func:`exact_zero`). Stage
+    2 evaluates at ``samples`` random rational points to 40 digits, with
+    random cubic stand-ins for formal functions and 40-digit quadrature
+    for formal integrals; nothing is integrated symbolically. A pole, a
+    non-finite value or a quadrature that misses its error bound rejects
+    the sample and draws another; too many bad samples raise
+    :class:`IndeterminateZeroTest`. The verdict's ``samples`` counts the
+    points drawn, rejected ones included.
     """
     e = sp.sympify(e)
     if exact_zero(e):
@@ -984,9 +1018,9 @@ def is_zero(e: sp.Expr, samples: int = 8, max_resamples: int = 32,
         if val is None:
             continue
         if val > sp.Float("1e-20"):
-            return ZeroVerdict(False, "nonzero", val)
+            return ZeroVerdict(False, "nonzero", val, samples=attempts)
         good += 1
-    return ZeroVerdict(True, "probabilistic")
+    return ZeroVerdict(True, "probabilistic", samples=attempts)
 
 
 # ---------------------------------------------------------------------------
