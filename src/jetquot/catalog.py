@@ -59,7 +59,7 @@ HI, HJ = Symbol("H_I"), Symbol("H_J")
 HII, HIJ, HJJ = Symbol("H_II"), Symbol("H_IJ"), Symbol("H_JJ")
 KI, KJ = Symbol("K_I"), Symbol("K_J")
 
-A_par, eps_par = sp.symbols("A epsilon")
+A_par = Symbol("A")
 
 g_ = formal("g")
 C_ = formal("C")
@@ -127,9 +127,8 @@ class CatalogEntry:
     F: sp.Expr
     principal: tuple[int, int]
     gens: list[VectorField]
-    invariants: dict[str, sp.Expr]
-    frame_pair: tuple[sp.Expr, sp.Expr] | None = None
-    single_derivation: tuple[sp.Expr, sp.Expr, sp.Expr] | None = None  # (I, α, β)
+    invariants: dict[str, sp.Expr]  # I and J span the frame
+    single_derivation: tuple[sp.Expr, sp.Expr] | None = None  # (α, β) when no J
     syzygies: list[Syzygy] = field(default_factory=list)
     solutions: list[SolutionSpec] = field(default_factory=list)
     reconstruction: Reconstruction | None = None
@@ -137,7 +136,6 @@ class CatalogEntry:
     parameters: dict[str, Symbol] = field(default_factory=dict)
     characteristic: tuple[int, Symbol] | None = None  # (syzygy index, base token)
     commutation_probe: sp.Expr | None = None
-    notes: str = ""
 
     @cached_property
     def manifold(self) -> PdeManifold:
@@ -145,16 +143,13 @@ class CatalogEntry:
 
     @cached_property
     def frame(self):
-        if self.frame_pair is not None:
-            return TresseFrame(*self.frame_pair, self.manifold)
-        I, alpha, beta = self.single_derivation
-        return SingleFrame(I, alpha, beta, self.manifold)
+        I = self.invariants["I"]
+        if self.single_derivation is not None:
+            return SingleFrame(I, *self.single_derivation, self.manifold)
+        return TresseFrame(I, self.invariants["J"], self.manifold)
 
     def higher_invariants(self) -> dict[str, sp.Expr]:
-        frame_exprs = (set(self.frame_pair) if self.frame_pair
-                       else {self.single_derivation[0]})
-        return {n: e for n, e in self.invariants.items()
-                if sp.sympify(e) not in {sp.sympify(fe) for fe in frame_exprs}}
+        return {n: e for n, e in self.invariants.items() if n not in ("I", "J")}
 
     def constraint(self, spec: SolutionSpec) -> sp.Expr:
         """The quotient solution as a differential constraint in jets."""
@@ -250,7 +245,6 @@ def _entries() -> dict[str, CatalogEntry]:
                     "syzygies (plus the single second-order form).",
         F=F_b, principal=(1, 0), gens=gens_h3,
         invariants={"I": u_x, "J": u_xx, "H": u_xxx, "K": u_xxxx},
-        frame_pair=(u_x, u_xx),
         syzygies=[S2, S1, S_one],
         commutation_probe=u_xxx,
         validity=[u_xx],
@@ -287,7 +281,6 @@ def _entries() -> dict[str, CatalogEntry]:
                     "syzygy and the elimination identity for K.",
         F=F_b, principal=(1, 0), gens=gens_full,
         invariants={"I": I_a, "J": J_a, "H": H_a, "K": K_a},
-        frame_pair=(I_a, J_a),
         syzygies=[S_app, S_K],
         validity=[u_xx, u_xxx],
     ))
@@ -302,7 +295,7 @@ def _entries() -> dict[str, CatalogEntry]:
         F=u_xxx - u_xx, principal=(0, 3),
         gens=[VectorField(0, 1, 0), VectorField(0, 0, 1)],
         invariants={"I": u_x, "H": u_xx},
-        single_derivation=(u_x, sp.Integer(0), 1 / u_xx),
+        single_derivation=(sp.Integer(0), 1 / u_xx),
         syzygies=[Syzygy(HI - 1)],
         solutions=[SolutionSpec(0, QuotientSolution(h=I_tok - A_par))],
         reconstruction=Reconstruction(
@@ -327,7 +320,6 @@ def _entries() -> dict[str, CatalogEntry]:
                     "2 H_I - J^2 H_J + 4 J H = 0 and its general solution.",
         F=F_hs, principal=(1, 1), gens=[_formal_family(1)],
         invariants={"I": t, "J": u_x, "H": u_xx},
-        frame_pair=(t, u_x),
         syzygies=[hs_quotient],
         solutions=[SolutionSpec(0, hs_solution)],
         characteristic=(0, H_tok),
@@ -347,7 +339,6 @@ def _entries() -> dict[str, CatalogEntry]:
         F=u_tx + u * u_xx + al3(t, u_x, u_xx), principal=(1, 1),
         gens=[_formal_family(1)],
         invariants={"I": t, "J": u_x, "H": u_xx},
-        frame_pair=(t, u_x),
         syzygies=[Syzygy(
             HI - (al3(*a1_args) - H_tok * al3_H(*a1_args)) * HJ
             + (J_tok + al3_J(*a1_args)) * H_tok
@@ -367,7 +358,6 @@ def _entries() -> dict[str, CatalogEntry]:
         F=u_tx + u * u_xx + al1(u_x), principal=(1, 1),
         gens=[_formal_family(1)],
         invariants={"I": t, "J": u_x, "H": u_xx},
-        frame_pair=(t, u_x),
         syzygies=[Syzygy(
             HI - al1(J_tok) * HJ + (J_tok + al1p(J_tok)) * H_tok
         )],
@@ -386,7 +376,6 @@ def _entries() -> dict[str, CatalogEntry]:
         F=u_tx + u * u_xx + al2(t, u_x) * u_xx, principal=(1, 1),
         gens=[_formal_family(1)],
         invariants={"I": t, "J": u_x, "H": u_xx},
-        frame_pair=(t, u_x),
         syzygies=[Syzygy(HI + (J_tok + al2_J(I_tok, J_tok) * H_tok) * H_tok)],
         solutions=[SolutionSpec(0, QuotientSolution(
             h=exp(-I_tok * J_tok) / (
@@ -406,7 +395,6 @@ def _entries() -> dict[str, CatalogEntry]:
         F=u_tx + u * u_xx + u_xx**2, principal=(1, 1),
         gens=[_formal_family(1)],
         invariants={"I": t, "J": u_x, "H": u_xx},
-        frame_pair=(t, u_x),
         syzygies=[Syzygy(HI + H_tok**2 * HJ + J_tok * H_tok)],
         solutions=[SolutionSpec(0, QuotientSolution(
             implicit=(g_(J_tok**2 + H_tok**2) - I_tok) * R13
@@ -425,7 +413,6 @@ def _entries() -> dict[str, CatalogEntry]:
         F=u_tx - al3(x, u_x, u_xx) * exp(u), principal=(1, 1),
         gens=[_formal_family(2)],
         invariants={"I": x, "J": u_x, "H": u_xx},
-        frame_pair=(x, u_x),
         syzygies=[Syzygy(
             al3_H(*a2_args) * HI
             + (H_tok * al3_H(*a2_args) - al3(*a2_args)) * HJ
@@ -443,7 +430,6 @@ def _entries() -> dict[str, CatalogEntry]:
         F=u_tx - u_xx * be2(x, u_x) * exp(u), principal=(1, 1),
         gens=[_formal_family(2)],
         invariants={"I": x, "J": u_x, "H": u_xx},
-        frame_pair=(x, u_x),
         syzygies=[Syzygy(
             be2(I_tok, J_tok) * HI + be2_J(I_tok, J_tok) * H_tok**2
             + be2(I_tok, J_tok) * J_tok * H_tok + be2_I(I_tok, J_tok) * H_tok
@@ -466,7 +452,6 @@ def _entries() -> dict[str, CatalogEntry]:
         F=u_tx - al2(x, u_x) * exp(u), principal=(1, 1),
         gens=[_formal_family(2)],
         invariants={"I": x, "J": u_x, "H": u_xx},
-        frame_pair=(x, u_x),
         syzygies=[Syzygy(
             -al2(I_tok, J_tok) * HJ + al2_J(I_tok, J_tok) * H_tok
             + al2(I_tok, J_tok) * J_tok + formal("alpha", 2, (1, 0))(I_tok, J_tok)
@@ -488,7 +473,6 @@ def _entries() -> dict[str, CatalogEntry]:
         F=u_tx + exp(u), principal=(1, 1),
         gens=[_formal_family(2)],
         invariants={"I": x, "J": u_x, "H": u_xx},
-        frame_pair=(x, u_x),
         syzygies=[Syzygy(HJ - J_tok)],
         solutions=[SolutionSpec(0, QuotientSolution(
             h=J_tok**2 / 2 + g_(I_tok)
@@ -505,7 +489,6 @@ def _entries() -> dict[str, CatalogEntry]:
         F=u_tx - u_t * al4(x, u, u_x, u_xx), principal=(1, 1),
         gens=[_formal_family(3)],
         invariants={"I": x, "J": u, "H": u_x},
-        frame_pair=(x, u),
         syzygies=[Syzygy(
             HJ - al4(I_tok, J_tok, H_tok, HI + H_tok * HJ)
         )],
@@ -522,7 +505,6 @@ def _entries() -> dict[str, CatalogEntry]:
         F=u_tx - u_t * (aa1(x, u) * u_x + aa2(x, u)), principal=(1, 1),
         gens=[_formal_family(3)],
         invariants={"I": x, "J": u, "H": u_x},
-        frame_pair=(x, u),
         syzygies=[Syzygy(
             HJ - aa1(I_tok, J_tok) * H_tok - aa2(I_tok, J_tok)
         )],
@@ -545,7 +527,6 @@ def _entries() -> dict[str, CatalogEntry]:
         F=u_tx - u_t * (b1(x) * u + b2(x)), principal=(1, 1),
         gens=[_formal_family(3)],
         invariants={"I": x, "J": u, "H": u_x},
-        frame_pair=(x, u),
         syzygies=[Syzygy(
             HJ - b1(I_tok) * J_tok - b2(I_tok)
         )],
@@ -568,7 +549,6 @@ def _entries() -> dict[str, CatalogEntry]:
         F=u_tx - u_t * u_x, principal=(1, 1),
         gens=[_formal_family(3)],
         invariants={"I": x, "J": u, "H": u_x},
-        frame_pair=(x, u),
         syzygies=[Syzygy(HJ - H_tok)],
         solutions=[SolutionSpec(0, QuotientSolution(
             h=g_(I_tok) * exp(J_tok)
@@ -591,7 +571,6 @@ def _entries() -> dict[str, CatalogEntry]:
         F=u_tx - al4(t, x, u_x, u_xx), principal=(1, 1),
         gens=[_formal_family(4)],
         invariants={"I": t, "J": x, "H": u_x},
-        frame_pair=(t, x),
         syzygies=[Syzygy(HI - al4(*a4_args))],
         validity=[],
     ))
@@ -604,7 +583,6 @@ def _entries() -> dict[str, CatalogEntry]:
         F=u_tx - u_x**A_par, principal=(1, 1),
         gens=[_formal_family(4)],
         invariants={"I": t, "J": x, "H": u_x},
-        frame_pair=(t, x),
         syzygies=[Syzygy(HI - H_tok**A_par)],
         solutions=[SolutionSpec(0, QuotientSolution(
             h=base41**(1 / (1 - A_par))
@@ -625,7 +603,6 @@ def _entries() -> dict[str, CatalogEntry]:
         F=u_tx - u_x**A_par * u_xx, principal=(1, 1),
         gens=[_formal_family(4)],
         invariants={"I": t, "J": x, "H": u_x},
-        frame_pair=(t, x),
         syzygies=[Syzygy(HI - H_tok**A_par * HJ)],
         solutions=[SolutionSpec(0, QuotientSolution(
             implicit=J_tok + I_tok * H_tok**A_par - g_(H_tok)
@@ -648,7 +625,6 @@ def _entries() -> dict[str, CatalogEntry]:
         principal=(1, 1),
         gens=[_formal_family(4)],
         invariants={"I": t, "J": x, "H": u_x},
-        frame_pair=(t, x),
         syzygies=[Syzygy(
             HI - al2(I_tok, J_tok) * H_tok**2 - be2(I_tok, J_tok) * H_tok
             - ga2(I_tok, J_tok)
@@ -673,7 +649,6 @@ def _entries() -> dict[str, CatalogEntry]:
         F=F_disg, principal=(1, 1),
         gens=[VectorField(0, 0, f_(t + x) / x)],
         invariants={"I": t, "J": x, "H": u + x * (u_x - u_t)},
-        frame_pair=(t, x),
         syzygies=[Syzygy(HI - H_tok**2)],
         solutions=[SolutionSpec(0, QuotientSolution(
             h=1 / (g_(J_tok) - I_tok)
@@ -699,7 +674,6 @@ def _entries() -> dict[str, CatalogEntry]:
         ],
         invariants={"I": t, "J": u_x, "H": u_xx,
                     "K": u_tt - u**2 * u_xx + u_t * u_x},
-        frame_pair=(t, u_x),
         syzygies=[hs_quotient, Syzygy(KJ)],
         solutions=[
             SolutionSpec(0, hs_solution),
@@ -722,7 +696,6 @@ def _entries() -> dict[str, CatalogEntry]:
         ],
         invariants={"I": x, "J": u_x, "H": u_xx,
                     "K": (2 * u_tt - u_t**2) * exp(-2 * u)},
-        frame_pair=(x, u_x),
         syzygies=[
             Syzygy(HJ - J_tok),
             Syzygy(KI + H_tok * KJ + 2 * J_tok * K_tok),

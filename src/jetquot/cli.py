@@ -118,7 +118,7 @@ def _parse_params(pairs: list[str] | None) -> dict:
         if "=" not in pair:
             raise CliError(f"parameter {pair!r} must look like name=value")
         k, v = pair.split("=", 1)
-        out[k.strip()] = sp.sympify(v)
+        out[k.strip()] = _parse_expr(v)
     return out
 
 
@@ -223,7 +223,7 @@ def cmd_hs_cauchy(args) -> int:
         C = _parse_expr(args.C)
     else:
         try:
-            C = hs.fit_C(g, t0, u0, w_end=sp.sympify(args.w_end), side=args.side)
+            C = hs.fit_C(g, t0, u0, w_end=_parse_expr(args.w_end), side=args.side)
         except (hs.CauchyError, SymcoreError) as exc:
             print(f"note: could not determine C ({exc}); pass --C explicitly",
                   file=sys.stderr)
@@ -262,7 +262,7 @@ def cmd_hs_singular(args) -> int:
         if args.C is not None:
             C = _parse_expr(args.C)
         else:
-            C = hs.fit_C(g, t0, u0, w_end=sp.sympify(args.w_end), side=args.side)
+            C = hs.fit_C(g, t0, u0, w_end=_parse_expr(args.w_end), side=args.side)
     else:
         if args.g is None:
             raise CliError("give either --from-cauchy U0 or --g G")
@@ -297,8 +297,7 @@ def cmd_hs_transform(args) -> int:
             f"unknown generator {args.generator!r}; choose from {', '.join(hs.GENERATORS)}",
             code=2)
     g = _parse_expr(args.g)
-    s_val = sp.sympify(args.s)
-    gt = sp.simplify(hs.transform_g(args.generator, s_val, g))
+    gt = sp.simplify(hs.transform_g(args.generator, _parse_expr(args.s), g))
     print(f"g_s(w) = {gt}")
     return 0
 
@@ -439,7 +438,7 @@ def _problem_argv(doc: dict) -> list[str]:
     def flags(*keys):
         return [f"--{k}={p[k]}" for k in keys if k in p]
 
-    params = [f"--param={k}={p[k]}" for k in ("A", "epsilon") if k in p]
+    params = [f"--param=A={p['A']}"] if "A" in p else []
     if action == "verify":
         return ["verify", entry] if entry else ["verify", "--all"]
     if action == "solve" and entry in (None, "hunter-saxton"):

@@ -506,19 +506,26 @@ def flow_jet(generator: str, s, point: dict) -> dict:
 
 def flowed_constraint_residual(sol: ParamSolution, generator: str, s: float,
                                grid) -> float:
-    """max |constraint_G(transform_g(g))| over the flowed surface."""
+    """max |constraint_G(transform_g(g))| over the flowed surface.
+
+    Grid points inside a validity exclusion or where evaluation fails are
+    skipped, as in :func:`residual`.
+    """
     g2 = transform_g(generator, s, sol.g)
     G2 = constraint_G(g2)
     G2_f = compile_numeric(G2, (t, u_x, u_xx))
     uxx_f = compile_numeric(sol.jets["u_xx"], (t, w))
     worst = 0.0
     for tv, wv in grid:
-        if sol.excluded(tv, wv):
+        try:
+            if sol.excluded(tv, wv):
+                continue
+            pt = {"t": tv, "x": sol.x_of(tv, wv), "u": sol.u_of(tv, wv),
+                  "u_x": u_x_of_w(tv, wv), "u_xx": uxx_f(tv, wv)}
+            moved = flow_jet(generator, s, pt)
+            worst = max(worst, abs(G2_f(moved["t"], moved["u_x"], moved["u_xx"])))
+        except EvalError:
             continue
-        pt = {"t": tv, "x": sol.x_of(tv, wv), "u": sol.u_of(tv, wv),
-              "u_x": u_x_of_w(tv, wv), "u_xx": uxx_f(tv, wv)}
-        moved = flow_jet(generator, s, pt)
-        worst = max(worst, abs(G2_f(moved["t"], moved["u_x"], moved["u_xx"])))
     return worst
 
 

@@ -126,9 +126,8 @@ class InvarianceReport:
         return all(v.is_zero for _, v, _ in self.verdicts)
 
 
-def check_invariant(e: sp.Expr, gens: list[VectorField], M: PdeManifold,
-                    k: int | None = None, **zero_opts) -> InvarianceReport:
-    """Check X^{(k)}(e)|_E = 0 for each generator.
+def check_invariant(e: sp.Expr, gens: list[VectorField], M: PdeManifold) -> InvarianceReport:
+    """Check X^{(k)}(e)|_E = 0 for each generator, k the order of e.
 
     Formal-function families are covered automatically: residuals are
     tested identically in the formal function and its derivatives.
@@ -136,17 +135,15 @@ def check_invariant(e: sp.Expr, gens: list[VectorField], M: PdeManifold,
     e = M.restrict(sp.sympify(e))
     verdicts = []
     for X in gens:
-        verdict, residual = zero_certificate(
-            M.restrict(apply_prolonged(X, e, k, cap=M.cap)), **zero_opts)
+        verdict, residual = zero_certificate(M.restrict(apply_prolonged(X, e, cap=M.cap)))
         verdicts.append((X, verdict, residual))
     return InvarianceReport(e, verdicts)
 
 
-def check_commutation(fr: TresseFrame, M: PdeManifold, probe: sp.Expr,
-                      **zero_opts) -> ZeroVerdict:
+def check_commutation(fr: TresseFrame, M: PdeManifold, probe: sp.Expr) -> ZeroVerdict:
     """Zero-test [∂̂_I, ∂̂_J](probe) on the manifold."""
     lhs = fr.d_I(fr.d_J(probe)) - fr.d_J(fr.d_I(probe))
-    return is_zero(M.restrict(lhs), **zero_opts)
+    return is_zero(M.restrict(lhs))
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +156,6 @@ class Syzygy:
     """A relation among invariant tokens, e.g. 2*H_I - J**2*H_J + 4*J*H."""
 
     lhs: sp.Expr
-
-    def tokens(self) -> set[Symbol]:
-        return {s for s in self.lhs.free_symbols if not s.name.startswith("_")}
 
     def realize(self, fr: TresseFrame, bindings: dict) -> sp.Expr:
         """Substitute jet realizations for every token.
@@ -200,11 +194,11 @@ def realize_tokens(e: sp.Expr, fr: TresseFrame, bindings: dict) -> dict[Symbol, 
     return out
 
 
-def check_syzygy(s: Syzygy, fr: TresseFrame, bindings: dict, M: PdeManifold | None = None,
-                 **zero_opts) -> ZeroVerdict:
+def check_syzygy(s: Syzygy, fr: TresseFrame, bindings: dict,
+                 M: PdeManifold | None = None) -> ZeroVerdict:
     """Realize the syzygy on the manifold and zero-test it."""
     M = M or fr.M
-    return is_zero(M.restrict(s.realize(fr, bindings)), **zero_opts)
+    return is_zero(M.restrict(s.realize(fr, bindings)))
 
 
 @dataclass(frozen=True)
@@ -236,7 +230,7 @@ class QuotientSolution:
         }
 
 
-def check_quotient_solution(s: Syzygy, sol: QuotientSolution, **zero_opts) -> ZeroVerdict:
+def check_quotient_solution(s: Syzygy, sol: QuotientSolution) -> ZeroVerdict:
     """Verify that a closed-form solution satisfies the syzygy identically.
 
     Works at the token level (functions of I, J and formal parameters),
@@ -253,7 +247,7 @@ def check_quotient_solution(s: Syzygy, sol: QuotientSolution, **zero_opts) -> Ze
         _, residual = sp.div(sp.expand(num), sp.expand(phi), sol.base)
     if exact_zero(residual):
         return ZeroVerdict(True, "deterministic")
-    return is_zero(normalize(residual), **zero_opts)
+    return is_zero(normalize(residual))
 
 
 # ---------------------------------------------------------------------------

@@ -12,20 +12,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import sympy as sp
-from sympy.core.function import AppliedUndef
 
 from .jetcalc import DEFAULT_ORDER_CAP, Dt, Dx, VectorField, apply_prolonged
 from .symcore import (
     JetVar,
     SymcoreError,
     ZeroVerdict,
-    is_zero,
-    jet,
+    formal,
     jets_in,
     kernelize,
     max_jet_order,
     normalize,
+    substitute,
+    t,
+    u,
     unkernelize,
+    x,
     zero_certificate,
 )
 
@@ -158,27 +160,23 @@ class SymmetryVerdict:
         return self.holds
 
 
-def check_symmetry(X: VectorField, M: PdeManifold, **zero_opts) -> SymmetryVerdict:
+def check_symmetry(X: VectorField, M: PdeManifold) -> SymmetryVerdict:
     """Test X^{(k)}(F)|_E = 0; a residual that is not exactly zero is
     normalized into the certificate."""
-    verdict, residual = zero_certificate(
-        M.restrict(apply_prolonged(X, M.F, cap=M.cap)), **zero_opts)
+    verdict, residual = zero_certificate(M.restrict(apply_prolonged(X, M.F, cap=M.cap)))
     return SymmetryVerdict(bool(verdict), verdict, residual)
 
 
 def determining_equations(M: PdeManifold) -> list[sp.Expr]:
     """The linear system on unknown coefficients a(t,x,u), b(t,x,u), c(t,x,u).
 
-    Returns the coefficient list of restrict(X^{(2)}F, M) as a polynomial
-    in the parametric jet coordinates of order ≥ 1. The system is not
-    solved; substituting candidate (a, b, c) must annihilate every entry.
+    The unknowns are formal functions, so their partials print as
+    ``a_33(t, x, u)``. Returns the coefficient list of restrict(X^{(2)}F, M)
+    as a polynomial in the parametric jet coordinates of order ≥ 1. The
+    system is not solved; substituting candidate (a, b, c) must annihilate
+    every entry.
     """
-    from .symcore import t, u, x
-
-    a = sp.Function("a")(t, x, u)
-    b = sp.Function("b")(t, x, u)
-    c = sp.Function("c")(t, x, u)
-    X = VectorField(a, b, c)
+    X = VectorField(*(formal(n, 3)(t, x, u) for n in "abc"))
     residual = M.restrict(apply_prolonged(X, M.F, cap=M.cap))
     gens = sorted(
         (sym for sym, (i, j) in jets_in(residual).items() if i + j >= 1),
@@ -198,8 +196,6 @@ def solution_residual(F: sp.Expr, u_expr: sp.Expr) -> sp.Expr:
     derivative of ``u_expr``; an exact solution gives (something that
     zero-tests to) 0.
     """
-    from .symcore import t, x
-
     F = sp.sympify(F)
     u_expr = sp.sympify(u_expr)
     subs = {}
@@ -211,16 +207,5 @@ def solution_residual(F: sp.Expr, u_expr: sp.Expr) -> sp.Expr:
 def substitute_coefficients(equations: list[sp.Expr], a: sp.Expr, b: sp.Expr,
                             c: sp.Expr) -> list[sp.Expr]:
     """Plug concrete coefficient functions into a determining system."""
-    from .symcore import t, u, x
-
-    out = []
-    subs = {"a": sp.sympify(a), "b": sp.sympify(b), "c": sp.sympify(c)}
-    for eq in equations:
-        e = eq
-        for name, val in subs.items():
-            e = e.replace(
-                lambda n, name=name: isinstance(n, AppliedUndef) and n.func.__name__ == name,
-                lambda n, val=val: val,
-            )
-        out.append(normalize(e.doit()))
-    return out
+    bindings = {n: ((t, x, u), sp.sympify(v)) for n, v in zip("abc", (a, b, c))}
+    return [normalize(substitute(eq, bindings)) for eq in equations]

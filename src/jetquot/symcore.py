@@ -6,8 +6,12 @@ Expressions are sympy objects over a fixed vocabulary:
 * jet variables ``u, u_t, u_x, u_tx, ...`` (symbols with a canonical
   t-before-x naming scheme),
 * formal functions ``g, g', alpha_1, ...`` created by :func:`formal`,
-  which differentiate by the chain rule and never evaluate,
+  which differentiate by the chain rule and never evaluate; they are the
+  only unknown functions, so no ``Derivative`` or ``Subs`` node arises,
 * formal integrals ``Integral(h(v), (v, 0, w))`` with lower bound 0.
+
+Text becomes an expression only through :func:`parse`, which builds this
+vocabulary and evaluates nothing.
 
 Zero-testing works in two stages. Stage 1 is deterministic: every
 transcendental subexpression becomes an independent kernel symbol, and
@@ -20,9 +24,11 @@ evaluates the expression to 40 digits at random rational points: formal
 functions get random cubic stand-ins, and formal integrals are computed
 by 40-digit Gauss-Legendre quadrature, never integrated symbolically. A
 quadrature that misses its error bound rejects the sample like a pole
-does, and another point is drawn. :func:`normalize` is the separate,
-printable rational normal form; the verification checks call it only to
-build the certificate of a claim that fails.
+does, and another point is drawn; a SymPy function that is not formal
+has no stand-in, so its samples are all rejected and the test is
+indeterminate. :func:`normalize` is the separate, printable rational
+normal form; the verification checks call it only to build the
+certificate of a claim that fails.
 """
 
 from __future__ import annotations
@@ -242,7 +248,8 @@ def formal_integral(integrand: sp.Expr, var: Symbol, upper: sp.Expr) -> sp.Expr:
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*'*)|(?P<op>[-+*/^(),]))"
+    r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*'*)|(?P<op>[-+*/^(),]))"
 )
 
 _BUILTINS: dict[str, Callable] = {
@@ -481,15 +488,8 @@ def substitute(e: sp.Expr, bindings: Mapping) -> sp.Expr:
 
 # -- kernelization for normalization / zero testing -------------------------
 
-_KERNEL_CONTAINERS = (sp.Integral, sp.Derivative, sp.Subs)
-
-
-def _is_kernel(e) -> bool:
-    if isinstance(e, _KERNEL_CONTAINERS):
-        return True
-    if isinstance(e, sp.Function):  # exp, log, atanh, formal functions, ...
-        return True
-    return False
+#: exp, log, atanh, formal functions, ... and formal integrals
+_KERNELS = (sp.Function, sp.Integral)
 
 
 def _exp_factors(arg: sp.Expr):
@@ -548,7 +548,7 @@ class _Kernelizer:
             for kernel, power in _exp_factors(arg):
                 out *= self._pow_kernel(kernel, power)
             return out
-        if _is_kernel(e):
+        if isinstance(e, _KERNELS):
             canon = e.func(*[self._canon_arg(a) for a in e.args])
             return self._sym(canon)
         if e.is_Pow:
@@ -694,10 +694,10 @@ def exact_residual(e: sp.Expr) -> sp.Expr:
     return sp.Integer(0) if exact_zero(e) else normalize(e)
 
 
-def zero_certificate(e: sp.Expr, **zero_opts) -> tuple[ZeroVerdict, sp.Expr]:
+def zero_certificate(e: sp.Expr) -> tuple[ZeroVerdict, sp.Expr]:
     """(verdict, residual): the residual is 0 when the verdict is
     deterministic, else ``normalize(e)``, so only failures pay for it."""
-    verdict = is_zero(e, **zero_opts)
+    verdict = is_zero(e)
     if verdict.mode == "deterministic":
         return verdict, sp.Integer(0)
     return verdict, normalize(e)
@@ -923,8 +923,6 @@ def _proxy_env(e: sp.Expr, rng: random.Random):
     for node in sp.preorder_traversal(e):
         if is_formal(node):
             names[node.base_name] = len(node.args)
-        elif isinstance(node, AppliedUndef):
-            names[str(node.func).rstrip("'")] = len(node.args)
     proxies = []
     for name, nargs in sorted(names.items()):
         params = sp.symbols(f"_p_{name}_0:{nargs}")
@@ -940,22 +938,20 @@ def _proxy_env(e: sp.Expr, rng: random.Random):
 
 def _numeric_probe(e: sp.Expr, rng: random.Random, dps=40):
     """|e| to ``dps`` digits at one random rational point; None signals a
-    bad sample (a pole, a non-finite value, a failed quadrature).
+    bad sample (a pole, a non-finite or non-numeric value, a failed
+    quadrature).
 
-    Derivative nodes are evaluated without ``deep``, so no Integral is
-    integrated symbolically. Without integrals the point is substituted
-    exactly and the result rounded once; with them the expression is
-    compiled to mpmath and each integral is a quadrature.
+    Each formal function is bound to its cubic stand-in; its partials
+    become derivatives of the cubic, so nothing is left to evaluate
+    symbolically and no Integral is integrated. Without integrals the
+    point is substituted exactly and the result rounded once; with them
+    the expression is compiled to mpmath and each integral is a
+    quadrature. A function that is not formal keeps the value
+    non-numeric, so every sample is rejected.
     """
     probe = e
     for name, params, expr in _proxy_env(e, rng):
         probe = bind_formal(probe, name, params, expr)
-        probe = probe.replace(
-            lambda n: isinstance(n, AppliedUndef) and str(n.func).rstrip("'") == name,
-            lambda n: expr.subs(dict(zip(params, n.args)), simultaneous=True),
-        )
-    probe = probe.replace(lambda n: isinstance(n, sp.Derivative),
-                          lambda n: n.doit(deep=False))
     # name order, so that the point does not depend on the hash seed
     syms = sorted(probe.free_symbols, key=lambda s: (s.name, sp.default_sort_key(s)))
     point = {s: _random_rational(rng) for s in syms}
@@ -967,7 +963,8 @@ def _numeric_probe(e: sp.Expr, rng: random.Random, dps=40):
                 return sp.Float(mpmath.fabs(z), dps) if mpmath.isfinite(z) else None
         val = probe.xreplace(point)
         num = sp.N(val, dps)
-    except (ZeroDivisionError, ValueError, TypeError, EvalError):
+    except (ZeroDivisionError, ValueError, TypeError, EvalError, NameError):
+        # NameError: the compiled probe calls a function that is not formal
         return None
     if num.has(sp.zoo, sp.oo, -sp.oo, sp.nan):
         return None
@@ -989,8 +986,11 @@ def _gauss_legendre(f, *intervals):
     return value
 
 
-def is_zero(e: sp.Expr, samples: int = 8, max_resamples: int = 32,
-            seed: int = 20260823) -> ZeroVerdict:
+#: stage-2 points drawn, rejected ones included, before the test gives up
+_MAX_RESAMPLES = 32
+
+
+def is_zero(e: sp.Expr, samples: int = 8, seed: int = 20260823) -> ZeroVerdict:
     """Two-stage zero test.
 
     Stage 1 is deterministic (the ring test of :func:`exact_zero`). Stage
@@ -1010,9 +1010,9 @@ def is_zero(e: sp.Expr, samples: int = 8, max_resamples: int = 32,
     attempts = 0
     while good < samples:
         attempts += 1
-        if attempts > max_resamples:
+        if attempts > _MAX_RESAMPLES:
             raise IndeterminateZeroTest(
-                f"zero test indeterminate after {max_resamples} samples: {e}"
+                f"zero test indeterminate after {_MAX_RESAMPLES} samples: {e}"
             )
         val = _numeric_probe(e, rng)
         if val is None:

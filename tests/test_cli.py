@@ -271,3 +271,30 @@ def test_run_transform_action(capsys, tmp_path):
     code, out, _ = run(capsys, "run", path)
     assert code == 0
     assert "exp" in out
+
+
+def test_hs_transform_does_not_evaluate_python(capsys):
+    # --s goes through the expression parser, which evaluates nothing
+    code, out, err = run(capsys, "hs", "transform", "--generator", "projective",
+                         "--s", "__import__('os').getpid()", "--g", "exp(w)")
+    assert code != 0
+    assert "cannot parse expression" in err
+    assert out == ""
+
+
+def test_run_transform_with_exponent_number(capsys, tmp_path):
+    # a problem-file number reaches --s as str(float), here "1e-05"
+    path = _write(tmp_path, {"action": "transform",
+                             "parameters": {"generator": "projective", "s": 1e-05,
+                                            "g": "exp(w)"}})
+    code, out, _ = run(capsys, "run", path)
+    assert code == 0
+    assert "w + 1/50000" in out
+
+
+def test_run_rejects_epsilon(capsys, tmp_path):
+    # no catalog entry has a parameter epsilon
+    path = _write(tmp_path, {"action": "solve", "entry": "ex4.1",
+                             "parameters": {"g": "x", "C": "t", "A": 2, "epsilon": 0.1}})
+    code, _, err = run(capsys, "run", path)
+    assert code == 2 and "problem file rejected" in err

@@ -257,6 +257,15 @@ def test_flowed_surface_satisfies_transformed_constraint(gen):
     assert worst < 1e-10
 
 
+def test_flowed_constraint_residual_skips_failed_points():
+    # sqrt(w) has no real value on the quadrature nodes of the w < 0 point
+    sol = general_solution(sp.sqrt(w), 0)
+    pts = [(0.5, -0.5), (0.5, 0.5)]
+    assert residual(sol, pts).excluded == [(0.5, -0.5)]
+    assert flowed_constraint_residual(sol, "scaling", 0.3, pts) < 1e-10
+    assert flowed_constraint_residual(sol, "scaling", 0.3, pts[:1]) == 0.0
+
+
 def test_flow_jet_projective_inverse():
     pt = {"t": 0.5, "x": 1.0, "u": 2.0, "u_x": 0.3, "u_xx": 0.7}
     fwd = flow_jet("projective", 0.2, pt)

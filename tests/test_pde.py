@@ -2,6 +2,7 @@
 
 import pytest
 import sympy as sp
+from sympy.core.function import AppliedUndef
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,7 @@ from jetquot.pde import (
     solution_residual,
     substitute_coefficients,
 )
-from jetquot.symcore import jet, t, x
+from jetquot.symcore import formal, jet, t, x
 
 u, u_t, u_x = jet(0, 0), jet(1, 0), jet(0, 1)
 u_tt, u_tx, u_xx = jet(2, 0), jet(1, 1), jet(0, 2)
@@ -106,6 +107,14 @@ def test_determining_equations_annihilated(burgers):
     # a generic non-symmetry does not
     bad = substitute_coefficients(eqs, sp.Integer(0), sp.Integer(0), x)
     assert any(sp.expand(e) != 0 for e in bad)
+
+
+def test_determining_equations_use_formal_unknowns(burgers):
+    eqs = determining_equations(burgers)
+    assert len(eqs) == 9
+    assert not any(e.has(sp.Derivative, sp.Subs, AppliedUndef) for e in eqs)
+    # a_uu = 0 is one of the equations
+    assert -formal("a", 3, (0, 0, 2))(t, x, u) in eqs
 
 
 def test_solution_residual_exact():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from jetquot.symcore import (
     EvalError,
     ExprSyntaxError,
+    IndeterminateZeroTest,
     JetVar,
     bind_formal,
     canonical_jet_name,
@@ -95,6 +96,15 @@ def test_parse_formal_integral():
     e = parse("int(g(v), v, 0, u_x)")
     assert isinstance(e, sp.Integral)
     assert e.limits == ((v, 0, u_x),)
+
+
+def test_parse_numbers_with_exponents():
+    # decimals parse exactly, with or without a decimal exponent
+    assert parse("0.5") == sp.Rational(1, 2)
+    assert parse("1e-05") == sp.Rational(1, 100000)
+    assert parse("2.5E3*x") == 2500 * x
+    with pytest.raises(ExprSyntaxError):
+        parse("3e")
 
 
 def test_parse_errors():
@@ -225,6 +235,31 @@ def test_is_zero_seed_determinism():
     g = formal("g")
     e = g(t) ** 2 - g(t) * g(t) + sp.exp(t) - sp.exp(t)
     assert is_zero(e, seed=1).is_zero == is_zero(e, seed=1).is_zero
+
+
+def test_is_zero_gives_no_verdict_on_undefined_functions():
+    # formal functions are the only unknown functions with a stand-in
+    f = sp.Function("f")
+    with pytest.raises(IndeterminateZeroTest):
+        is_zero(f(x) - x)
+    with pytest.raises(IndeterminateZeroTest):
+        is_zero(f(x) + formal_integral(t, t, x))
+    v = is_zero((f(x) + 1) ** 2 - f(x) ** 2 - 2 * f(x) - 1)
+    assert v.is_zero and v.mode == "deterministic"
+
+
+def test_symcore_vocabulary_is_closed():
+    import pathlib
+
+    import jetquot
+
+    package = pathlib.Path(jetquot.__file__).parent
+    for path in package.glob("*.py"):
+        text = path.read_text()
+        for name in ("sp.Function(", "sp.Derivative", "sp.Subs"):
+            assert name not in text, (path.name, name)
+    # command-line text becomes an expression only through parse
+    assert "sympify" not in (package / "cli.py").read_text()
 
 
 # ---------------------------------------------------------------------------
