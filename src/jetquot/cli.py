@@ -112,6 +112,15 @@ def _parse_expr(text: str) -> sp.Expr:
         raise CliError(f"cannot parse expression {text!r}: {exc}")
 
 
+def _parse_t0(text: str) -> sp.Expr:
+    """--t0 read exactly: a decimal is a rational, never a float, so the
+    Cauchy inversion and fit of C stay over QQ."""
+    t0 = _parse_expr(text)
+    if not t0.is_number:
+        raise CliError(f"--t0 must be a number, got {text!r}")
+    return t0
+
+
 def _parse_params(pairs: list[str] | None) -> dict:
     out = {}
     for pair in pairs or []:
@@ -210,7 +219,7 @@ def cmd_hs_solve(args) -> int:
 
 
 def cmd_hs_cauchy(args) -> int:
-    t0 = sp.Rational(args.t0) if args.t0 == int(args.t0) else sp.Float(args.t0)
+    t0 = _parse_t0(args.t0)
     u0 = _parse_expr(args.u0)
     try:
         g = hs.cauchy_g(t0, u0)
@@ -254,7 +263,7 @@ def cmd_hs_cauchy(args) -> int:
 
 def cmd_hs_singular(args) -> int:
     if args.from_cauchy is not None:
-        t0 = sp.Rational(args.t0) if args.t0 == int(args.t0) else sp.Float(args.t0)
+        t0 = _parse_t0(args.t0)
         u0 = _parse_expr(args.from_cauchy)
         g = hs.cauchy_g(t0, u0)
         if isinstance(g, list):
@@ -516,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_hs_solve)
 
     c = hsub.add_parser("cauchy", help="solve a Cauchy problem u(t0, x) = u0(x)")
-    c.add_argument("--t0", type=float, required=True)
+    c.add_argument("--t0", required=True, help="initial time t0")
     c.add_argument("--u0", required=True, help="initial profile u0(x)")
     c.add_argument("--C", help="override C(t) instead of the decay rule")
     c.add_argument("--w-end", dest="w_end", default="0",
@@ -535,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = hsub.add_parser("singular", help="sample the curve where X_w = 0")
     g.add_argument("--from-cauchy", dest="from_cauchy",
                    help="derive g from this initial profile u0(x)")
-    g.add_argument("--t0", type=float, default=1.0,
+    g.add_argument("--t0", default="1",
                    help="initial time for --from-cauchy (default 1)")
     g.add_argument("--g", help="g(w) directly (alternative to --from-cauchy)")
     g.add_argument("--C", help="C(t) (default: decay rule / 0)")

@@ -10,6 +10,7 @@ applying the frame's dual derivations.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -22,6 +23,8 @@ from .pde import GenericityCondition, PdeManifold
 from .symcore import (
     SymcoreError,
     ZeroVerdict,
+    _ring_leaves,
+    _RingWalk,
     exact_residual,
     exact_zero,
     is_zero,
@@ -267,21 +270,144 @@ class DiscoveryResult:
         return len(self.syzygies)
 
 
-def _random_rational(rng: random.Random) -> sp.Rational:
-    return sp.Rational(rng.randint(-30, 30), rng.randint(1, 7))
+#: discovery samples and solves modulo _P1 and confirms each lifted
+#: vector modulo _P2, at _CONFIRM_ROWS fresh points
+_P1 = 2**61 - 1
+_P2 = 2**62 - 57
+_CONFIRM_ROWS = 4
+#: points that may be redrawn, beyond those needed, for a vanishing denominator
+_MAX_RETRIES = 40
+
+
+class _ModularTokens:
+    """Token realizations as num / Π base**power over the ring of their
+    generators, converted once by the ring walk of the zero test's stage 1
+    and evaluated at random points modulo a prime."""
+
+    def __init__(self, realizations: dict[Symbol, sp.Expr]):
+        leaves: set = set()
+        for tok, r in realizations.items():
+            found = _ring_leaves(r, set())
+            kernel = next((g for g in found if not g.is_Symbol), None)
+            if kernel is not None:
+                raise SymcoreError(
+                    f"token {tok} is not a rational function of jets: it contains {kernel}")
+            leaves |= found
+        self.gens = sorted(leaves, key=lambda s: s.name)
+        walk = _RingWalk(self.gens)
+        self.parts = [walk(r) for r in realizations.values()]
+
+    def sample(self, p: int, rng: random.Random) -> list[int] | None:
+        """Token values at a random point mod p; None where a denominator
+        base vanishes mod p."""
+        point = [rng.randrange(p) for _ in self.gens]
+        values = []
+        for num, den in self.parts:
+            d = 1
+            for base, power in den.items():
+                b = _eval_mod(base, point, p)
+                if not b:
+                    return None
+                d = d * pow(b, power, p) % p
+            values.append(_eval_mod(num, point, p) * pow(d, -1, p) % p)
+        return values
+
+
+def _eval_mod(poly, point: list[int], p: int) -> int:
+    total = 0
+    for monom, c in poly.items():
+        term = c.numerator * pow(c.denominator, -1, p)
+        for v, e in zip(point, monom):
+            if e:
+                term = term * pow(v, e, p) % p
+        total += term
+    return total % p
+
+
+def _sample_rows(tokens: _ModularTokens, monomials: list[tuple[int, ...]], p: int,
+                 count: int, rng: random.Random) -> list[list[int]]:
+    """``count`` rows of monomial values mod p, at points where no
+    denominator vanishes."""
+    rows = []
+    for _ in range(count + _MAX_RETRIES):
+        values = tokens.sample(p, rng)
+        if values is None:
+            continue
+        rows.append([math.prod(values[i] for i in m) % p for m in monomials])
+        if len(rows) == count:
+            return rows
+    raise SymcoreError("could not sample enough generic points")
+
+
+def _rref_mod(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """(nonzero rows of the reduced row echelon form over GF(p), pivot columns)."""
+    a = [list(r) for r in rows]
+    pivots: list[int] = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = pivot = [v * inv % p for v in a[r]]
+        # the pivot row is zero left of c, so only columns from c change
+        tail = pivot[c:]
+        for i, row in enumerate(a):
+            if i != r and row[c]:
+                f = row[c]
+                row[c:] = [(v - f * w) % p for v, w in zip(row[c:], tail)]
+        pivots.append(c)
+        if len(pivots) == len(a):
+            break
+    return a[:len(pivots)], pivots
+
+
+def _nullspace_mod(rows: list[list[int]], p: int) -> list[list[int]]:
+    """A basis of {v : rows·v = 0} over GF(p) in reduced row echelon form,
+    so each vector's first nonzero entry is 1."""
+    ncols = len(rows[0])
+    reduced, pivots = _rref_mod(rows, p)
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[f] = 1
+        for row, c in zip(reduced, pivots):
+            v[c] = -row[f] % p
+        basis.append(v)
+    return _rref_mod(basis, p)[0]
+
+
+def _rational_reconstruction(a: int, p: int) -> sp.Rational | None:
+    """The n/d ≡ a (mod p) with |n|, d ≤ √(p/2), or None when there is none
+    (Wang's half-extended Euclidean algorithm); the bound makes it unique."""
+    bound = math.isqrt(p // 2)
+    r0, r1, s0, s1 = p, a % p, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return sp.Rational(r1, s1)
 
 
 def discover_syzygy(invariants: dict[str, sp.Expr], fr: TresseFrame, M: PdeManifold,
-                    degree: int = 3, seed: int = 7, max_retries: int = 40) -> DiscoveryResult:
+                    degree: int = 3, seed: int = 7) -> DiscoveryResult:
     """Finite-ansatz search for relations among invariants.
 
     ``invariants`` names the higher invariants (e.g. {"H": u_xx}); the
     token set is I, J, the named invariants and their first Tresse
-    derivatives. All monomials of total degree ≤ ``degree`` are evaluated
-    at random rational points of the manifold and a nullspace basis is
-    extracted, normalized by reduced row echelon form, and re-verified
-    symbolically. Candidates failing symbolic verification are returned
-    in ``spurious``, never silently.
+    derivatives, each of which must be a rational function of jets. All
+    monomials of total degree ≤ ``degree`` are evaluated at random
+    points modulo a prime p₁ = 2⁶¹−1, and the nullspace is found over
+    GF(p₁) in reduced row echelon form (first nonzero coefficient 1).
+    Each basis vector is lifted to QQ by rational reconstruction and
+    confirmed at fresh points modulo p₂ = 2⁶²−57; a vector that passes is
+    re-verified exactly by :func:`check_syzygy`. Candidates that do not
+    lift (reported with their residues mod p₁ as coefficients), fail the
+    second prime or fail exact verification are returned in
+    ``spurious``, never silently.
     """
     if degree > 4:
         raise SymcoreError("ansatz degree capped at 4")
@@ -290,46 +416,30 @@ def discover_syzygy(invariants: dict[str, sp.Expr], fr: TresseFrame, M: PdeManif
     for name in invariants:
         tokens += sp.symbols(f"{name} {name}_I {name}_J")
     realizations = realize_tokens(sp.Add(*tokens), fr, invariants)
+    modular = _ModularTokens(realizations)
     tokens = list(realizations)
-    monomials = []
-    for d in range(degree + 1):
-        for combo in itertools.combinations_with_replacement(tokens, d):
-            monomials.append(sp.Mul(*combo))
+    combos = [combo for d in range(degree + 1)
+              for combo in itertools.combinations_with_replacement(range(len(tokens)), d)]
+    monomials = [sp.Mul(*[tokens[i] for i in combo]) for combo in combos]
 
-    free = sorted(
-        set().union(*(r.free_symbols for r in realizations.values())),
-        key=lambda s: s.name,
-    )
-    n_points = len(monomials) + 10
-    rows = []
-    attempts = 0
-    while len(rows) < n_points:
-        attempts += 1
-        if attempts > n_points + max_retries:
-            raise SymcoreError("could not sample enough generic points")
-        point = {s: _random_rational(rng) for s in free}
-        try:
-            vals = {tok: sp.cancel(r.xreplace(point)) for tok, r in realizations.items()}
-        except ZeroDivisionError:
-            continue
-        if any(v.has(sp.zoo, sp.nan, sp.oo) or not v.is_Rational for v in vals.values()):
-            continue
-        rows.append([m.xreplace(vals) for m in monomials])
-
-    null = sp.Matrix(rows).nullspace()
-    if not null:
+    rows = _sample_rows(modular, combos, _P1, len(combos) + 10, rng)
+    basis = _nullspace_mod(rows, _P1)
+    if not basis:
         return DiscoveryResult([])
-    basis = sp.Matrix([list(v) for v in null])
-    basis, _ = basis.rref()
+    confirm = _sample_rows(modular, combos, _P2, _CONFIRM_ROWS, rng)
     result = DiscoveryResult([])
-    for r in range(basis.rows):
-        coeffs = basis.row(r)
-        if all(c == 0 for c in coeffs):
+    for vector in basis:
+        coeffs = [_rational_reconstruction(c, _P1) for c in vector]
+        if None in coeffs:
+            residues = [c if c <= _P1 // 2 else c - _P1 for c in vector]
+            result.spurious.append(sp.Add(*[c * m for c, m in zip(residues, monomials)]))
             continue
-        lhs = sp.Add(*[c * m for c, m in zip(coeffs, monomials)])
-        candidate = Syzygy(lhs)
-        if check_syzygy(candidate, fr, invariants, M):
+        candidate = Syzygy(sp.Add(*[c * m for c, m in zip(coeffs, monomials)]))
+        lifted = [c.p * pow(c.q, -1, _P2) % _P2 for c in coeffs]
+        if any(sum(c * v for c, v in zip(lifted, row)) % _P2 for row in confirm):
+            result.spurious.append(candidate.lhs)
+        elif check_syzygy(candidate, fr, invariants, M):
             result.syzygies.append(candidate)
         else:
-            result.spurious.append(lhs)
+            result.spurious.append(candidate.lhs)
     return result

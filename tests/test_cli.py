@@ -114,6 +114,21 @@ def test_hs_singular_with_check(capsys, tmp_path, monkeypatch):
     assert len(rows) >= 4
 
 
+def test_hs_cauchy_and_singular_read_t0_exactly(capsys, tmp_path, monkeypatch):
+    # a float t0 put fit_C over RR, where its polynomial division failed
+    monkeypatch.setenv("JETQUOT_OUTPUT_DIR", str(tmp_path))
+    code, out, _ = run(capsys, "hs", "cauchy", "--t0", "0.5", "--u0", "x^2")
+    assert code == 0
+    assert "g(w) = 128/(w**4 + 16*w**3 + 96*w**2 + 256*w + 256)" in out
+    assert json.loads((tmp_path / "hs_cauchy.json").read_text())["t0"] == "1/2"
+    code, out, _ = run(capsys, "hs", "singular", "--from-cauchy", "x^2",
+                       "--t0", "0.5", "--times", "1.5")
+    assert code == 0
+    assert "singular samples" in out
+    code, _, err = run(capsys, "hs", "cauchy", "--t0", "x", "--u0", "x^2")
+    assert code == 1 and "--t0 must be a number" in err
+
+
 def test_hs_transform(capsys):
     code, out, _ = run(capsys, "hs", "transform", "--generator", "projective",
                        "--s", "1", "--g", "exp(w)")

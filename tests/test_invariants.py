@@ -1,8 +1,14 @@
 """Tresse frames, invariants, syzygies and discovery."""
 
+import math
+
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jetquot import invariants
+from jetquot.catalog import get
 from jetquot.invariants import (
     DegenerateFrameError,
     H_tok,
@@ -21,7 +27,7 @@ from jetquot.invariants import (
 )
 from jetquot.jetcalc import VectorField
 from jetquot.pde import PdeManifold
-from jetquot.symcore import formal, jet, t, x
+from jetquot.symcore import SymcoreError, formal, jet, t, x
 
 u, u_x, u_xx, u_xxx, u_xxxx = jet(0, 0), jet(0, 1), jet(0, 2), jet(0, 3), jet(0, 4)
 u_t, u_tx = jet(1, 0), jet(1, 1)
@@ -162,6 +168,83 @@ def test_discovery_hs(hs_frame, hs):
 def test_discovery_degree_cap(hs_frame, hs):
     with pytest.raises(Exception):
         discover_syzygy({"H": u_xx}, hs_frame, hs, degree=5)
+
+
+def test_discovery_output_is_stable_over_seeds():
+    # the nullspace basis is in reduced row echelon form, so the result is
+    # the same expression at every seed, not merely equal up to scale
+    hs_entry, bh_entry = get("hunter-saxton"), get("burgers-h3")
+    hs_target = sp.srepr(2 * H_tok * J_tok + HI - HJ * J_tok**2 / 2)
+    bh_target = sp.srepr(-H_tok * HJ - HI * J_tok + K_tok)
+    for seed in range(10):
+        found = discover_syzygy({"H": u_xx}, hs_entry.frame, hs_entry.manifold,
+                                degree=3, seed=seed)
+        assert [sp.srepr(s.lhs) for s in found.syzygies] == [hs_target]
+        assert not found.spurious
+        found = discover_syzygy({"H": u_xxx, "K": u_xxxx}, bh_entry.frame,
+                                bh_entry.manifold, degree=2, seed=seed)
+        assert [sp.srepr(s.lhs) for s in found.syzygies] == [bh_target]
+        assert not found.spurious
+
+
+def test_discovery_rejects_realizations_outside_the_rational_jets(hs_frame, hs):
+    with pytest.raises(SymcoreError, match="token H is not a rational function"):
+        discover_syzygy({"H": sp.exp(u_xx)}, hs_frame, hs, degree=2)
+
+
+@pytest.mark.parametrize("lift", ["perturbed", "failed"])
+def test_discovery_unconfirmed_vectors_are_spurious(hs_frame, hs, monkeypatch, lift):
+    # a lift that is wrong fails the second prime, one that fails is kept
+    # with its residues; neither reaches the exact check
+    reconstruct = invariants._rational_reconstruction
+
+    def wrong(a, p):
+        c = reconstruct(a, p)
+        if lift == "failed" and c == 2:
+            return None
+        return c + 1 if c == 2 else c
+
+    def never(*args):
+        raise AssertionError("an unconfirmed vector reached check_syzygy")
+
+    monkeypatch.setattr(invariants, "_rational_reconstruction", wrong)
+    monkeypatch.setattr(invariants, "check_syzygy", never)
+    found = discover_syzygy({"H": u_xx}, hs_frame, hs, degree=3, seed=3)
+    assert not found.syzygies
+    assert len(found.spurious) == 1
+    if lift == "perturbed":
+        assert found.spurious[0] == 3 * H_tok * J_tok + HI - HJ * J_tok**2 / 2
+    else:
+        # -1/2 mod p is (p - 1)/2, which is its own symmetric residue
+        half = (invariants._P1 - 1) // 2
+        assert found.spurious[0] == 2 * H_tok * J_tok + HI + half * HJ * J_tok**2
+
+
+_P = invariants._P1
+_BOUND = math.isqrt(_P // 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-_BOUND, _BOUND), st.integers(1, _BOUND))
+def test_rational_reconstruction_round_trips(n, d):
+    q = sp.Rational(n, d)
+    assert invariants._rational_reconstruction(q.p * pow(q.q, -1, _P) % _P, _P) == q
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, _P - 1))
+def test_rational_reconstruction_stays_within_its_bound(a):
+    q = invariants._rational_reconstruction(a, _P)
+    if q is not None:
+        assert abs(q.p) <= _BOUND and q.q <= _BOUND
+        assert (q.p - a * q.q) % _P == 0
+
+
+def test_discovery_does_no_linear_algebra_over_qq():
+    import inspect
+
+    source = inspect.getsource(invariants)
+    assert "sp.Matrix(" not in source and ".nullspace(" not in source
 
 
 def _contains_up_to_scale(syzygies, target):
