@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Callable
 
 import sympy as sp
-from sympy import Rational, Symbol, exp, log
+from sympy import Symbol, exp, log
 
 from .invariants import (
     H_tok,
@@ -31,17 +31,15 @@ from .invariants import (
     check_invariant,
     check_quotient_solution,
     check_syzygy,
-    realize_tokens,
 )
 from .jetcalc import VectorField
-from .pde import GenericityCondition, PdeManifold, check_symmetry, solution_residual
+from .pde import PdeManifold, check_symmetry, solution_residual
 from .symcore import (
     EvalError,
     SymcoreError,
     ZeroVerdict,
     bind_formal,
     compile_numeric,
-    exact_residual,
     formal,
     formal_integral,
     is_zero,
@@ -93,7 +91,7 @@ class SingleFrame:
         return self.d_I
 
     def duality_residuals(self) -> list[sp.Expr]:
-        return [exact_residual(self.d_I(self.I) - 1)]
+        return [is_zero(self.d_I(self.I) - 1).residual]
 
 
 @dataclass(frozen=True)
@@ -775,22 +773,15 @@ def verify_entry(name: str) -> VerificationReport:
 
     for inv_name, inv in e.invariants.items():
         report = check_invariant(inv, e.gens, M)
-        worst = "exact"
-        residual = None
-        for _, v, r in report.verdicts:
-            verdict = _verdict(v)
-            if verdict == "fail":
-                worst, residual = "fail", r
-                break
-            if verdict == "probabilistic":
-                worst = "probabilistic"
-        stages.append(Stage("invariance", inv_name, worst, residual))
+        modes = [_verdict(v) for _, v, _ in report.verdicts]
+        failed = [r for _, v, r in report.verdicts if not v.is_zero]
+        worst = next((m for m in ("fail", "probabilistic") if m in modes), "exact")
+        stages.append(Stage("invariance", inv_name, worst, failed[0] if failed else None))
 
     fr = e.frame
-    dual = fr.duality_residuals()
-    ok = all(r == 0 for r in dual)
-    stages.append(Stage("frame-duality", "∂̂ dual to d", "exact" if ok else "fail",
-                        None if ok else next(r for r in dual if r != 0)))
+    failed = [r for r in fr.duality_residuals() if r != 0]
+    stages.append(Stage("frame-duality", "∂̂ dual to d", "fail" if failed else "exact",
+                        failed[0] if failed else None))
 
     if e.commutation_probe is not None:
         v = check_commutation(fr, M, e.commutation_probe)
@@ -814,10 +805,9 @@ def verify_entry(name: str) -> VerificationReport:
         except ParameterError:
             u_expr = None
         if u_expr is not None:
-            residual = solution_residual(e.F, u_expr)
-            v = is_zero(residual)
+            v = is_zero(solution_residual(e.F, u_expr))
             stages.append(Stage("reconstruction", e.reconstruction.description[:28],
-                                _verdict(v), residual if not v.is_zero else None))
+                                _verdict(v), None if v.is_zero else v.residual))
 
     return VerificationReport(name, stages)
 

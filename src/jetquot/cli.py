@@ -31,8 +31,6 @@ from .symcore import (
     is_zero,
     normalize,
     parse,
-    t,
-    x,
 )
 
 OUTPUT_DIR_ENV = "JETQUOT_OUTPUT_DIR"
@@ -218,30 +216,46 @@ def cmd_hs_solve(args) -> int:
     return 0
 
 
+def _cauchy_base(t0, u0) -> hs.ParamSolution:
+    """The surface with C = 0 for the first branch of g. Its ∫₀ʷ parts are
+    the only ones integrated: fit_C and _with_C reuse them when closed."""
+    g = hs.cauchy_g(t0, u0)
+    return hs.general_solution(g[0] if isinstance(g, list) else g, 0)
+
+
+def _cauchy_C(args, t0, u0, base: hs.ParamSolution) -> sp.Expr:
+    """--C, or C fitted to the Cauchy data."""
+    if args.C is not None:
+        return _parse_expr(args.C)
+    parts = {"X_part": base.X, "U_part": base.U} if base.closed else {}
+    return hs.fit_C(base.g, t0, u0, w_end=_parse_expr(args.w_end), side=args.side, **parts)
+
+
+def _with_C(base: hs.ParamSolution, C) -> hs.ParamSolution:
+    if base.closed:
+        return hs.closed_form_solution(base.g, C, base.X, base.U)
+    return hs.general_solution(base.g, C)
+
+
 def cmd_hs_cauchy(args) -> int:
     t0 = _parse_t0(args.t0)
     u0 = _parse_expr(args.u0)
     try:
-        g = hs.cauchy_g(t0, u0)
+        base = _cauchy_base(t0, u0)
     except hs.CauchyError as exc:
         print(f"cauchy inversion failed: {exc}", file=sys.stderr)
         return 1
-    if isinstance(g, list):
-        g = g[0]
-    if args.C is not None:
-        C = _parse_expr(args.C)
-    else:
-        try:
-            C = hs.fit_C(g, t0, u0, w_end=_parse_expr(args.w_end), side=args.side)
-        except (hs.CauchyError, SymcoreError) as exc:
-            print(f"note: could not determine C ({exc}); pass --C explicitly",
-                  file=sys.stderr)
-            C = None
+    try:
+        C = _cauchy_C(args, t0, u0, base)
+    except (hs.CauchyError, SymcoreError) as exc:
+        print(f"note: could not determine C ({exc}); pass --C explicitly",
+              file=sys.stderr)
+        C = None
 
     stats = None
     singular = []
     if C is not None:
-        sol = hs.general_solution(g, C)
+        sol = _with_C(base, C)
         times = _parse_list(args.times) if args.times else [float(t0)]
         ws = _parse_range(args.w_window, default_count=20)
         grid = [(tv, wv) for tv in times for wv in ws]
@@ -254,8 +268,8 @@ def cmd_hs_cauchy(args) -> int:
             singular = curve.samples
     doc_path = _out_path(args.out or "hs_cauchy.json")
     _atomic_write(doc_path, lambda p: hs.cauchy_report_json(
-        t0, u0, g, C if C is not None else "", stats, singular, p))
-    print(f"g(w) = {g}")
+        t0, u0, base.g, C if C is not None else "", stats, singular, p))
+    print(f"g(w) = {base.g}")
     print(f"C(t) = {C}")
     print(f"wrote {doc_path}")
     return 0
@@ -265,19 +279,14 @@ def cmd_hs_singular(args) -> int:
     if args.from_cauchy is not None:
         t0 = _parse_t0(args.t0)
         u0 = _parse_expr(args.from_cauchy)
-        g = hs.cauchy_g(t0, u0)
-        if isinstance(g, list):
-            g = g[0]
-        if args.C is not None:
-            C = _parse_expr(args.C)
-        else:
-            C = hs.fit_C(g, t0, u0, w_end=_parse_expr(args.w_end), side=args.side)
+        base = _cauchy_base(t0, u0)
+        sol = _with_C(base, _cauchy_C(args, t0, u0, base))
     else:
         if args.g is None:
             raise CliError("give either --from-cauchy U0 or --g G")
         g = _parse_expr(args.g)
         C = _parse_expr(args.C) if args.C is not None else sp.Integer(0)
-    sol = hs.general_solution(g, C)
+        sol = hs.general_solution(g, C)
     times = _parse_list(args.times)
     lo, hi = _parse_range(args.w_window, default_count=2)[0], \
         _parse_range(args.w_window, default_count=2)[-1]

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import sympy as sp
 from scipy.optimize import brentq
 
-from .symcore import EvalError, SymcoreError, compile_numeric, jet, t, x
+from .symcore import EvalError, SymcoreError, compile_numeric, exact_zero, is_zero, jet, t, x
 
 u_sym = jet(0, 0)
 u_x = jet(0, 1)
@@ -90,6 +90,11 @@ class ParamSolution:
     U: sp.Expr                       # u(t, w)
     validity: tuple = ()             # expressions in (t, w) required nonzero
     degenerate: bool = False         # dX/dw ≡ 0
+
+    @cached_property
+    def closed(self) -> bool:
+        """X and U are integral-free."""
+        return not (self.X.has(sp.Integral) or self.U.has(sp.Integral))
 
     # -- exact partials ------------------------------------------------------
 
@@ -184,7 +189,7 @@ def general_solution(g, C, validity: tuple = ()) -> ParamSolution:
     U = (_closed(U_int) if g.free_symbols <= {w} else None)
     X = (X if X is not None else X_int) + C
     U = (U if U is not None else U_int) + C.diff(t)
-    degenerate = sp.cancel(g) == 0
+    degenerate = exact_zero(g)
     conds = tuple(sp.sympify(c) for c in validity)
     return ParamSolution(g, C, X, U, conds, degenerate)
 
@@ -200,7 +205,7 @@ def closed_form_solution(g, C, X_part, U_part, validity: tuple = ()) -> ParamSol
     X_part, U_part = sp.sympify(X_part), sp.sympify(U_part)
     for part, target in ((X_part, (t * w + 2)**2 * g / 4),
                          (U_part, (t * w + 2) * w * g / 2)):
-        if sp.simplify(part.diff(w) - target) != 0:
+        if not is_zero(part.diff(w) - target):
             raise SymcoreError("supplied antiderivative does not differentiate "
                                "to the required integrand")
     return ParamSolution(g, C, X_part + C, U_part + C.diff(t),
@@ -231,10 +236,9 @@ def residual(sol: ParamSolution, grid, h: float = 1e-5,
     Points with |X_w| below ``jacobian_floor``, inside a validity
     exclusion or where evaluation fails are skipped and reported.
     """
-    closed = not (sol.X.has(sp.Integral) or sol.U.has(sp.Integral))
     if method == "auto":
-        method = "exact" if closed else "fd"
-    if method == "exact" and not closed:
+        method = "exact" if sol.closed else "fd"
+    if method == "exact" and not sol.closed:
         raise SymcoreError("exact residual needs integral-free X and U")
 
     if method == "exact":
@@ -301,7 +305,7 @@ def cauchy_g(t0, u0) -> sp.Expr | list[sp.Expr]:
     u0 = sp.sympify(u0)
     u0p = u0.diff(x)
     u0pp = u0.diff(x, 2)
-    if sp.simplify(u0pp) == 0:
+    if is_zero(u0pp):
         raise CauchyError("u0'' vanishes identically; the constraint "
                           "16 g(w) u_xx = (2-t u_x)^4 cannot hold")
     slope = 2 * u0p / (2 - t0 * u0p)
@@ -377,7 +381,7 @@ def fit_C(g, t0, u0, rule="decay", w_end=0, side="-",
         raise CauchyError("decay rule is inconsistent with the initial slice")
     C0 = sp.simplify(consts[0])
     # the solved constant must make the slice match identically in w
-    if sp.simplify(gap.subs(K, C0)) != 0:
+    if not is_zero(gap.subs(K, C0)):
         raise CauchyError("initial-slice matching does not hold identically")
     return sp.integrate(Cp, (t, t0, t)) + C0
 
@@ -555,7 +559,7 @@ class ComparisonMaps:
 
 def hs_comparison(g) -> ComparisonMaps:
     g = _in_w(g)
-    if sp.cancel(g) == 0:
+    if exact_zero(g):
         raise SymcoreError("g = 0 makes the change of variables degenerate")
     gv = g.subs(w, v)
     def anti(e):

@@ -9,7 +9,7 @@ determining-equation generation live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import sympy as sp
 
@@ -19,6 +19,7 @@ from .symcore import (
     SymcoreError,
     ZeroVerdict,
     formal,
+    is_zero,
     jets_in,
     kernelize,
     max_jet_order,
@@ -28,7 +29,6 @@ from .symcore import (
     u,
     unkernelize,
     x,
-    zero_certificate,
 )
 
 
@@ -101,17 +101,13 @@ class PdeManifold:
         return self._rhs[offset]
 
     def restrict(self, e: sp.Expr) -> sp.Expr:
-        """Eliminate the principal derivative and all its consequences from e."""
+        """Eliminate the principal derivative and all its consequences from
+        e, in one pass: every stored rhs is already restricted."""
         e = sp.sympify(e)
         pi, pj = self.principal.t_order, self.principal.x_order
-        while True:
-            sub = {}
-            for sym, (i, j) in jets_in(e).items():
-                if i >= pi and j >= pj:
-                    sub[sym] = self.rhs((i - pi, j - pj))
-            if not sub:
-                return e
-            e = e.xreplace(sub)
+        sub = {sym: self.rhs((i - pi, j - pj)) for sym, (i, j) in jets_in(e).items()
+               if i >= pi and j >= pj}
+        return e.xreplace(sub) if sub else e
 
     def is_parametric(self, v: JetVar) -> bool:
         return not (v.t_order >= self.principal.t_order
@@ -152,19 +148,23 @@ def dimension(M: PdeManifold, k: int) -> int:
 
 @dataclass
 class SymmetryVerdict:
-    holds: bool
     verdict: ZeroVerdict
-    residual: sp.Expr
+
+    @property
+    def holds(self) -> bool:
+        return self.verdict.is_zero
+
+    @property
+    def residual(self) -> sp.Expr:
+        return self.verdict.residual
 
     def __bool__(self):
         return self.holds
 
 
 def check_symmetry(X: VectorField, M: PdeManifold) -> SymmetryVerdict:
-    """Test X^{(k)}(F)|_E = 0; a residual that is not exactly zero is
-    normalized into the certificate."""
-    verdict, residual = zero_certificate(M.restrict(apply_prolonged(X, M.F, cap=M.cap)))
-    return SymmetryVerdict(bool(verdict), verdict, residual)
+    """Zero-test X^{(k)}(F)|_E; the verdict carries the certificate."""
+    return SymmetryVerdict(is_zero(M.restrict(apply_prolonged(X, M.F, cap=M.cap))))
 
 
 def determining_equations(M: PdeManifold) -> list[sp.Expr]:
@@ -193,15 +193,16 @@ def solution_residual(F: sp.Expr, u_expr: sp.Expr) -> sp.Expr:
     """Residual of F on a candidate solution u(t, x).
 
     Every jet variable in F is replaced by the corresponding partial
-    derivative of ``u_expr``; an exact solution gives (something that
-    zero-tests to) 0.
+    derivative of ``u_expr``. The residual is returned as it is, in no
+    normal form; an exact solution gives an expression that zero-tests
+    to 0.
     """
     F = sp.sympify(F)
     u_expr = sp.sympify(u_expr)
     subs = {}
     for sym, (i, j) in jets_in(F).items():
         subs[sym] = sp.diff(u_expr, t, i, x, j)
-    return normalize(F.xreplace(subs))
+    return F.xreplace(subs)
 
 
 def substitute_coefficients(equations: list[sp.Expr], a: sp.Expr, b: sp.Expr,

@@ -27,8 +27,8 @@ quadrature that misses its error bound rejects the sample like a pole
 does, and another point is drawn; a SymPy function that is not formal
 has no stand-in, so its samples are all rejected and the test is
 indeterminate. :func:`normalize` is the separate, printable rational
-normal form; the verification checks call it only to build the
-certificate of a claim that fails.
+normal form; a verdict's ``residual`` calls it when the certificate of
+a claim that is not proved zero is first read.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import mpmath
@@ -664,9 +665,19 @@ class ZeroVerdict:
     mode: str  # "deterministic" | "probabilistic" | "nonzero"
     witness: object = None
     samples: int = 0  # stage-2 points drawn, rejected ones included
+    expr: sp.Expr = sp.S.Zero  # the expression judged
 
     def __bool__(self):
         return self.is_zero
+
+    @cached_property
+    def residual(self) -> sp.Expr:
+        """The certificate: 0 for a deterministic zero, else the normal
+        form of the expression judged. It is computed on first read, so
+        only a claim whose certificate is wanted pays for it."""
+        if self.mode == "deterministic":
+            return sp.S.Zero
+        return normalize(self.expr)
 
     def __repr__(self):
         return f"ZeroVerdict({self.is_zero}, {self.mode!r})"
@@ -682,25 +693,12 @@ def exact_zero(e: sp.Expr) -> bool:
         return True
     # same-base powers with symbolic exponents (x**a * x**b) kernelize to
     # unrelated symbols; combining exponents first is always sound, and
-    # has nothing to combine where every power and exp has a rational one
-    if all(p.exp.is_Rational for p in e.atoms(sp.Pow, sp.exp)):
+    # has nothing to combine where every power has a rational exponent
+    # (the kernelizer already splits the argument of every exp)
+    if all(p.exp.is_Rational for p in e.atoms(sp.Pow)):
         return False
     combined = sp.powsimp(e, combine="exp")
     return combined is not e and _kernel_rational_zero(combined)
-
-
-def exact_residual(e: sp.Expr) -> sp.Expr:
-    """0 when e is exactly zero, else its normal form as a certificate."""
-    return sp.Integer(0) if exact_zero(e) else normalize(e)
-
-
-def zero_certificate(e: sp.Expr) -> tuple[ZeroVerdict, sp.Expr]:
-    """(verdict, residual): the residual is 0 when the verdict is
-    deterministic, else ``normalize(e)``, so only failures pay for it."""
-    verdict = is_zero(e)
-    if verdict.mode == "deterministic":
-        return verdict, sp.Integer(0)
-    return verdict, normalize(e)
 
 
 def _kernel_rational_zero(e: sp.Expr) -> bool:
@@ -968,6 +966,10 @@ def _numeric_probe(e: sp.Expr, rng: random.Random, dps=40):
         return None
     if num.has(sp.zoo, sp.oo, -sp.oo, sp.nan):
         return None
+    if num.is_Float:
+        # a 1-bit Float such as -0.e-172 is evalf's "zero to working
+        # precision": not comparable, but a zero sample
+        return abs(num)
     if not num.is_comparable:
         num = sp.N(sp.Abs(val), dps)
         if not num.is_comparable:
@@ -1004,7 +1006,7 @@ def is_zero(e: sp.Expr, samples: int = 8, seed: int = 20260823) -> ZeroVerdict:
     """
     e = sp.sympify(e)
     if exact_zero(e):
-        return ZeroVerdict(True, "deterministic")
+        return ZeroVerdict(True, "deterministic", expr=e)
     rng = random.Random(seed)
     good = 0
     attempts = 0
@@ -1018,9 +1020,9 @@ def is_zero(e: sp.Expr, samples: int = 8, seed: int = 20260823) -> ZeroVerdict:
         if val is None:
             continue
         if val > sp.Float("1e-20"):
-            return ZeroVerdict(False, "nonzero", val, samples=attempts)
+            return ZeroVerdict(False, "nonzero", val, attempts, e)
         good += 1
-    return ZeroVerdict(True, "probabilistic", samples=attempts)
+    return ZeroVerdict(True, "probabilistic", samples=attempts, expr=e)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,21 @@ def test_hs_cauchy_and_singular_read_t0_exactly(capsys, tmp_path, monkeypatch):
     assert code == 1 and "--t0 must be a number" in err
 
 
+def test_hs_cauchy_integrates_each_antiderivative_once(capsys, tmp_path, monkeypatch):
+    # fitting C and adding it reuse the closed parts of the surface with C = 0
+    from jetquot import hs
+
+    monkeypatch.setenv("JETQUOT_OUTPUT_DIR", str(tmp_path))
+    calls = []
+    closed = hs._closed
+    monkeypatch.setattr(hs, "_closed", lambda e: calls.append(e) or closed(e))
+    code, out, _ = run(capsys, "hs", "cauchy", "--t0", "1", "--u0", "x^2")
+    assert code == 0 and "C(t) = 0" in out
+    assert len(calls) == 2
+    code, _, _ = run(capsys, "hs", "singular", "--from-cauchy", "x^2", "--times", "1.5")
+    assert code == 0 and len(calls) == 4
+
+
 def test_hs_transform(capsys):
     code, out, _ = run(capsys, "hs", "transform", "--generator", "projective",
                        "--s", "1", "--g", "exp(w)")

@@ -168,6 +168,12 @@ def test_cauchy_g_rejects_linear_data():
         cauchy_g(1, 2 * x + 1)
 
 
+def test_cauchy_g_rejects_data_linear_by_an_identity():
+    # u0'' is zero only by sin^2 + cos^2 = 1, which stage 1 does not see
+    with pytest.raises(CauchyError, match="vanishes identically"):
+        cauchy_g(1, x**2 / 2 * (sp.sin(x)**2 + sp.cos(x)**2) - x**2 / 2)
+
+
 def test_cauchy_g_numeric_agrees():
     gsym = sp.lambdify(w, 8 / (2 + w) ** 4, "math")
     # bracket below the slope-map pole at x = 1

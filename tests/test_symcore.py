@@ -262,6 +262,21 @@ def test_symcore_vocabulary_is_closed():
     assert "sympify" not in (package / "cli.py").read_text()
 
 
+def test_zero_decisions_go_through_the_zero_test():
+    import pathlib
+    import re
+
+    import jetquot
+
+    sources = {p.name: p.read_text() for p in pathlib.Path(jetquot.__file__).parent.glob("*.py")}
+    # the certificate rule lives in ZeroVerdict.residual alone
+    for name in ("zero_certificate", "exact_residual"):
+        assert not [f for f, text in sources.items() if name in text], name
+    # no simplify or cancel result is compared with 0
+    compared = re.compile(r"sp\.(simplify|cancel)\((?:[^()]|\([^()]*\))*\)\s*[!=]=\s*0")
+    assert [f for f, text in sources.items() if compared.search(text)] == []
+
+
 # ---------------------------------------------------------------------------
 # Numeric evaluation
 # ---------------------------------------------------------------------------

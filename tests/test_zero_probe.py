@@ -3,7 +3,8 @@
 Covers that the sample point does not depend on the hash seed, that
 formal integrals are evaluated by quadrature and never integrated
 symbolically, that quadrature neither hides a nonzero value nor turns a
-divergent integral into a verdict, and the resample count.
+divergent integral into a verdict, the resample count, and that a
+value which cancels to all 40 digits is a zero sample.
 """
 
 import os
@@ -17,7 +18,7 @@ import sympy as sp
 import sympy.integrals.risch
 
 import jetquot
-from jetquot import catalog, symcore
+from jetquot import catalog, cli, symcore
 from jetquot.invariants import I_tok, check_quotient_solution
 from jetquot.symcore import (
     IndeterminateZeroTest,
@@ -100,3 +101,20 @@ def test_samples_count_rejected_points(monkeypatch):
     monkeypatch.setattr(symcore, "_numeric_probe", reject_three)
     verdict = is_zero(SCALED, samples=5)
     assert verdict.mode == "probabilistic" and verdict.samples == 3 + 5
+
+
+@pytest.mark.parametrize("identity", [
+    sp.sin(x)**2 + sp.cos(x)**2 - 1,
+    sp.log(2 * x) - sp.log(2) - sp.log(x),
+], ids=["pythagoras", "log of a product"])
+def test_stage2_counts_a_value_that_cancels_exactly_as_zero(identity):
+    # evalf reports such a value as a 1-bit Float like -0.e-172
+    zero = is_zero(identity)
+    assert zero.is_zero and zero.mode == "probabilistic"
+    nonzero = is_zero(identity + x / 1000)
+    assert not nonzero.is_zero and nonzero.mode == "nonzero"
+
+
+def test_expr_zero_confirms_a_trigonometric_identity(capsys):
+    assert cli.main(["expr", "zero", "sin(x)^2+cos(x)^2-1"]) == 0
+    assert "probabilistic" in capsys.readouterr().out

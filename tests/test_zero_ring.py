@@ -83,6 +83,19 @@ def test_symbolic_exponents_are_combined_before_a_second_ring_pass():
     assert exact_zero(e) and not exact_zero(e + DELTA * x)
 
 
+def test_exp_alone_never_triggers_the_powsimp_retry(monkeypatch):
+    # the kernelizer already splits exp arguments: nothing left to combine
+    calls = []
+    powsimp = sp.powsimp
+    monkeypatch.setattr(sp, "powsimp", lambda e, **kw: calls.append(e) or powsimp(e, **kw))
+    assert not exact_zero(sp.exp(a * x) * sp.exp(x * u) - sp.exp(a * x + x * u) + DELTA * x)
+    assert not exact_zero(sp.exp(a * u) + x)
+    assert calls == []
+    b = sp.Symbol("b")
+    assert not exact_zero(_unevaluated(x**a, x**b) - x ** (a + b) + DELTA * x)
+    assert len(calls) == 1
+
+
 def test_ex41_stages_need_the_exponent_relation(monkeypatch):
     decided_by_relations = []
 
@@ -207,8 +220,18 @@ def test_failing_claim_certificate_is_the_normal_form(monkeypatch):
     X = VectorField(0, 0, t**2 * u**2)
     res = check_symmetry(X, M)
     assert not res.holds and res.verdict.mode == "nonzero"
-    assert len(calls) == 1
-    assert res.residual == normalize(calls[0]) and res.residual != 0
+    # the certificate is computed when it is first read, once
+    assert calls == []
+    residual = res.residual
+    assert res.residual is residual and len(calls) == 1
+    assert residual == normalize(calls[0]) and residual != 0
+
+
+def test_holding_claim_certificate_is_zero_without_normalize(monkeypatch):
+    calls = _count_normalize(monkeypatch, [symcore])
+    verdict = is_zero(x * (x + 1) - x**2 - x)
+    assert verdict.mode == "deterministic" and verdict.residual == 0
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
