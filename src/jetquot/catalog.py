@@ -90,8 +90,11 @@ class SingleFrame:
             raise SymcoreError("this frame has a single derivation")
         return self.d_I
 
+    def duality_verdicts(self) -> list[ZeroVerdict]:
+        return [is_zero(self.d_I(self.I) - 1)]
+
     def duality_residuals(self) -> list[sp.Expr]:
-        return [is_zero(self.d_I(self.I) - 1).residual]
+        return [v.residual for v in self.duality_verdicts()]
 
 
 @dataclass(frozen=True)
@@ -195,6 +198,14 @@ def _verdict(v: ZeroVerdict) -> str:
     if not v.is_zero:
         return "fail"
     return "exact" if v.mode == "deterministic" else "probabilistic"
+
+
+def _joint(verdicts: list[ZeroVerdict]) -> tuple[str, sp.Expr | None]:
+    """The worst of several verdicts and the certificate of the first failure."""
+    modes = {_verdict(v) for v in verdicts}
+    worst = next((m for m in ("fail", "probabilistic") if m in modes), "exact")
+    failed = next((v for v in verdicts if not v.is_zero), None)
+    return worst, None if failed is None else failed.residual
 
 
 # ---------------------------------------------------------------------------
@@ -773,15 +784,11 @@ def verify_entry(name: str) -> VerificationReport:
 
     for inv_name, inv in e.invariants.items():
         report = check_invariant(inv, e.gens, M)
-        modes = [_verdict(v) for _, v, _ in report.verdicts]
-        failed = [r for _, v, r in report.verdicts if not v.is_zero]
-        worst = next((m for m in ("fail", "probabilistic") if m in modes), "exact")
-        stages.append(Stage("invariance", inv_name, worst, failed[0] if failed else None))
+        stages.append(Stage("invariance", inv_name,
+                            *_joint([v for _, v, _ in report.verdicts])))
 
     fr = e.frame
-    failed = [r for r in fr.duality_residuals() if r != 0]
-    stages.append(Stage("frame-duality", "∂̂ dual to d", "fail" if failed else "exact",
-                        failed[0] if failed else None))
+    stages.append(Stage("frame-duality", "∂̂ dual to d", *_joint(fr.duality_verdicts())))
 
     if e.commutation_probe is not None:
         v = check_commutation(fr, M, e.commutation_probe)
@@ -826,8 +833,7 @@ class Instantiation:
     entry: str
     constraint: sp.Expr          # first-order constraint G = 0 in jet variables
     u: sp.Expr | None            # reconstructed solution, when a recipe exists
-    residual: sp.Expr | None     # residual of F on u
-    verdict: ZeroVerdict | None
+    verdict: ZeroVerdict | None  # zero test of the residual of F on u
 
 
 def instantiate(name: str, g=None, C=None, params: dict | None = None,
@@ -870,7 +876,7 @@ def instantiate(name: str, g=None, C=None, params: dict | None = None,
         if C_bind is not None:
             constraint = bind_formal(constraint, "C", *C_bind)
 
-    u_expr = residual = verdict = None
+    u_expr = verdict = None
     if e.reconstruction is not None:
         build_params = dict(params)
         for pname, sym in e.parameters.items():
@@ -882,10 +888,9 @@ def instantiate(name: str, g=None, C=None, params: dict | None = None,
             u_expr = bind_formal(u_expr, "C", *C_bind)
         u_expr = u_expr.doit()
         F = e.F.xreplace(subs_params)
-        residual = solution_residual(F, u_expr)
-        verdict = is_zero(residual)
+        verdict = is_zero(solution_residual(F, u_expr))
 
-    return Instantiation(name, constraint, u_expr, residual, verdict)
+    return Instantiation(name, constraint, u_expr, verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,8 @@ def cmd_hs_solve(args) -> int:
 
 def _cauchy_base(t0, u0) -> hs.ParamSolution:
     """The surface with C = 0 for the first branch of g. Its ∫₀ʷ parts are
-    the only ones integrated: fit_C and _with_C reuse them when closed."""
+    the only ones integrated: fit_C reuses them when closed, and
+    ParamSolution.with_C adds C to them."""
     g = hs.cauchy_g(t0, u0)
     return hs.general_solution(g[0] if isinstance(g, list) else g, 0)
 
@@ -229,12 +230,6 @@ def _cauchy_C(args, t0, u0, base: hs.ParamSolution) -> sp.Expr:
         return _parse_expr(args.C)
     parts = {"X_part": base.X, "U_part": base.U} if base.closed else {}
     return hs.fit_C(base.g, t0, u0, w_end=_parse_expr(args.w_end), side=args.side, **parts)
-
-
-def _with_C(base: hs.ParamSolution, C) -> hs.ParamSolution:
-    if base.closed:
-        return hs.closed_form_solution(base.g, C, base.X, base.U)
-    return hs.general_solution(base.g, C)
 
 
 def cmd_hs_cauchy(args) -> int:
@@ -255,7 +250,7 @@ def cmd_hs_cauchy(args) -> int:
     stats = None
     singular = []
     if C is not None:
-        sol = _with_C(base, C)
+        sol = base.with_C(C)
         times = _parse_list(args.times) if args.times else [float(t0)]
         ws = _parse_range(args.w_window, default_count=20)
         grid = [(tv, wv) for tv in times for wv in ws]
@@ -280,7 +275,7 @@ def cmd_hs_singular(args) -> int:
         t0 = _parse_t0(args.t0)
         u0 = _parse_expr(args.from_cauchy)
         base = _cauchy_base(t0, u0)
-        sol = _with_C(base, _cauchy_C(args, t0, u0, base))
+        sol = base.with_C(_cauchy_C(args, t0, u0, base))
     else:
         if args.g is None:
             raise CliError("give either --from-cauchy U0 or --g G")
@@ -355,7 +350,7 @@ def cmd_catalog_solve(args) -> int:
         status = "exact zero" if (inst.verdict.is_zero
                                   and inst.verdict.mode == "deterministic") else (
             "zero (probabilistic)" if inst.verdict.is_zero else "NONZERO")
-        print(f"residual: {normalize(inst.residual)} -> {status}")
+        print(f"residual: {inst.verdict.residual} -> {status}")
         if not inst.verdict.is_zero:
             return 1
     return 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -90,6 +90,13 @@ class ParamSolution:
     U: sp.Expr                       # u(t, w)
     validity: tuple = ()             # expressions in (t, w) required nonzero
     degenerate: bool = False         # dX/dw ≡ 0
+
+    def with_C(self, C) -> ParamSolution:
+        """The surface of the same g with C(t) in place of this one's C; no
+        antiderivative is taken again."""
+        C = sp.sympify(C)
+        return replace(self, C=C, X=self.X - self.C + C,
+                       U=self.U - self.C.diff(t) + C.diff(t))
 
     @cached_property
     def closed(self) -> bool:

@@ -103,12 +103,16 @@ class TresseFrame:
             return self.d_J
         raise SymcoreError(f"no derivation {which!r}")
 
-    def duality_residuals(self) -> list[sp.Expr]:
-        """The certificates of ∂̂_I(I) = 1, ∂̂_I(J) = 0, ∂̂_J(I) = 0 and
-        ∂̂_J(J) = 1 on the manifold: 0 where proved, else the normal form."""
+    def duality_verdicts(self) -> list[ZeroVerdict]:
+        """Zero tests of ∂̂_I(I) = 1, ∂̂_I(J) = 0, ∂̂_J(I) = 0 and
+        ∂̂_J(J) = 1 on the manifold."""
         pairs = [(self.d_I, self.I, 1), (self.d_I, self.J, 0),
                  (self.d_J, self.I, 0), (self.d_J, self.J, 1)]
-        return [is_zero(d(f) - c).residual for d, f, c in pairs]
+        return [is_zero(d(f) - c) for d, f, c in pairs]
+
+    def duality_residuals(self) -> list[sp.Expr]:
+        """The certificates of the duality identities."""
+        return [v.residual for v in self.duality_verdicts()]
 
 
 @dataclass

@@ -966,10 +966,11 @@ def _numeric_probe(e: sp.Expr, rng: random.Random, dps=40):
         return None
     if num.has(sp.zoo, sp.oo, -sp.oo, sp.nan):
         return None
-    if num.is_Float:
+    if num.is_Float and num._prec == 1:
         # a 1-bit Float such as -0.e-172 is evalf's "zero to working
-        # precision": not comparable, but a zero sample
-        return abs(num)
+        # precision"; its exponent is an error bound, which grows with the
+        # terms, so it is a zero sample only when that bound is small
+        return abs(num) if abs(num) <= _ZERO_BOUND else None
     if not num.is_comparable:
         num = sp.N(sp.Abs(val), dps)
         if not num.is_comparable:
@@ -990,6 +991,9 @@ def _gauss_legendre(f, *intervals):
 
 #: stage-2 points drawn, rejected ones included, before the test gives up
 _MAX_RESAMPLES = 32
+
+#: a stage-2 sample above this magnitude refutes the claim
+_ZERO_BOUND = sp.Float("1e-20")
 
 
 def is_zero(e: sp.Expr, samples: int = 8, seed: int = 20260823) -> ZeroVerdict:
@@ -1019,7 +1023,7 @@ def is_zero(e: sp.Expr, samples: int = 8, seed: int = 20260823) -> ZeroVerdict:
         val = _numeric_probe(e, rng)
         if val is None:
             continue
-        if val > sp.Float("1e-20"):
+        if val > _ZERO_BOUND:
             return ZeroVerdict(False, "nonzero", val, attempts, e)
         good += 1
     return ZeroVerdict(True, "probabilistic", samples=attempts, expr=e)

@@ -16,7 +16,7 @@ from jetquot.catalog import (
     instantiate,
     verify_entry,
 )
-from jetquot.symcore import jet, t, x
+from jetquot.symcore import ZeroVerdict, jet, t, x
 
 u, u_x, u_xx = jet(0, 0), jet(0, 1), jet(0, 2)
 
@@ -53,6 +53,19 @@ def test_frame_duality_all_entries():
     for name, e in entries().items():
         fr = e.frame
         assert all(r == 0 for r in fr.duality_residuals()), name
+
+
+@pytest.mark.parametrize("verdict, mode, residual", [
+    (ZeroVerdict(True, "probabilistic", expr=sp.sin(x)**2 + sp.cos(x)**2 - 1),
+     "probabilistic", None),
+    (ZeroVerdict(False, "nonzero", expr=x), "fail", x),
+], ids=["probabilistic", "fail"])
+def test_frame_duality_stage_reads_the_verdicts(monkeypatch, verdict, mode, residual):
+    frame = type(get("ode-reduction").frame)
+    monkeypatch.setattr(frame, "duality_verdicts", lambda self: [verdict])
+    stage = next(s for s in verify_entry("ode-reduction").stages
+                 if s.stage == "frame-duality")
+    assert (stage.verdict, stage.residual) == (mode, residual)
 
 
 # ---------------------------------------------------------------------------

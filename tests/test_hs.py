@@ -103,6 +103,13 @@ def test_closed_form_solution_checks_antiderivatives():
         closed_form_solution(G_EXP, C_EXP, XP_EXP + w, UP_EXP)
 
 
+@pytest.mark.parametrize("g", [sp.exp(w), sp.exp(t * w)],
+                         ids=["closed", "integral"])
+def test_with_C_is_the_surface_of_that_C(g):
+    C = t**2 + 1
+    assert general_solution(g, 0).with_C(C) == general_solution(g, C)
+
+
 def test_degenerate_g_is_flagged():
     sol = general_solution(sp.Integer(0), t)
     assert sol.degenerate

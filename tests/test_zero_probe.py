@@ -115,6 +115,14 @@ def test_stage2_counts_a_value_that_cancels_exactly_as_zero(identity):
     assert not nonzero.is_zero and nonzero.mode == "nonzero"
 
 
+@pytest.mark.parametrize("seed", [20260823, 2])
+def test_an_unresolved_zero_with_large_terms_is_not_a_refutation(seed):
+    # at seed 2, evalf's zero of this identity carries an error bound near
+    # 1e73: a bad sample, not a witness that it is nonzero
+    scaled = x**60 * sp.exp(x)**10 * (sp.sin(x)**2 + sp.cos(x)**2 - 1)
+    assert is_zero(scaled, seed=seed).is_zero
+
+
 def test_expr_zero_confirms_a_trigonometric_identity(capsys):
     assert cli.main(["expr", "zero", "sin(x)^2+cos(x)^2-1"]) == 0
     assert "probabilistic" in capsys.readouterr().out
