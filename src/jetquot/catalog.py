@@ -543,8 +543,7 @@ def _entries() -> dict[str, CatalogEntry]:
             h=b1(I_tok) * J_tok**2 / 2 + b2(I_tok) * J_tok + g_(I_tok)
         ))],
         reconstruction=Reconstruction(
-            "g ≡ 0: u = 2 e^{∫α₂} / (C(t) − ∫α₁ e^{∫α₂});"
-            " α₁ ≡ 0: u = (∫ g e^{−∫α₂} + C(t)) e^{∫α₂}",
+            "g ≡ 0: u = 2 e^{∫α₂} / (C(t) − ∫α₁ e^{∫α₂})",
             lambda p: _ex32_build(p),
         ),
         validity=[u_t],
@@ -716,6 +715,7 @@ def _entries() -> dict[str, CatalogEntry]:
 
 
 def _ex32_build(p: dict) -> sp.Expr:
+    """The g ≡ 0 branch of the Riccati constraint."""
     s, v = sp.symbols("s v")
     b1 = formal("alpha1", 1)
     b2 = formal("alpha2", 1)
@@ -723,13 +723,7 @@ def _ex32_build(p: dict) -> sp.Expr:
     # one so that differentiating under the integral reproduces exp(B2)
     B2 = formal_integral(b2(v), v, x)
     inner = formal_integral(b2(v), v, s)
-    if p.get("case", "riccati") == "riccati":
-        # the g ≡ 0 branch of the Riccati constraint
-        return 2 * exp(B2) / (
-            C_(t) - formal_integral(b1(s) * exp(inner), s, x)
-        )
-    # linear case α₁ ≡ 0 (caller must also bind alpha1 to 0 in F)
-    return (formal_integral(g_(s) * exp(-inner), s, x) + C_(t)) * exp(B2)
+    return 2 * exp(B2) / (C_(t) - formal_integral(b1(s) * exp(inner), s, x))
 
 
 def _ex41_build(p: dict) -> sp.Expr:
@@ -785,7 +779,7 @@ def verify_entry(name: str) -> VerificationReport:
     for inv_name, inv in e.invariants.items():
         report = check_invariant(inv, e.gens, M)
         stages.append(Stage("invariance", inv_name,
-                            *_joint([v for _, v, _ in report.verdicts])))
+                            *_joint([v for _, v in report.verdicts])))
 
     fr = e.frame
     stages.append(Stage("frame-duality", "∂̂ dual to d", *_joint(fr.duality_verdicts())))
@@ -847,6 +841,9 @@ def instantiate(name: str, g=None, C=None, params: dict | None = None,
     params = dict(params or {})
     if not e.solutions and e.reconstruction is None:
         raise ParameterError(f"entry {name!r} records no closed-form solution")
+    unknown = sorted(set(params) - set(e.parameters))
+    if unknown:
+        raise ParameterError(f"entry {name!r} has no parameter {', '.join(unknown)}")
 
     def as_binding(val, default_var):
         if val is None:

@@ -210,6 +210,9 @@ def cmd_hs_solve(args) -> int:
         rep = hs.residual(sol, grid, h=args.fd_step)
         print(f"max residual {rep.max_residual:.3e} over {rep.evaluated} points "
               f"({len(rep.excluded)} excluded)")
+        if not rep.evaluated:
+            print("no grid point could be evaluated", file=sys.stderr)
+            return 1
         if rep.max_residual > args.tol:
             print(f"residual exceeds tolerance {args.tol}", file=sys.stderr)
             return 1
@@ -217,8 +220,8 @@ def cmd_hs_solve(args) -> int:
 
 
 def _cauchy_base(t0, u0) -> hs.ParamSolution:
-    """The surface with C = 0 for the first branch of g. Its ∫₀ʷ parts are
-    the only ones integrated: fit_C reuses them when closed, and
+    """The surface with C = 0 for the first branch of g. Its moments are
+    the only integrals taken: fit_C reads its antiderivatives and
     ParamSolution.with_C adds C to them."""
     g = hs.cauchy_g(t0, u0)
     return hs.general_solution(g[0] if isinstance(g, list) else g, 0)
@@ -228,8 +231,7 @@ def _cauchy_C(args, t0, u0, base: hs.ParamSolution) -> sp.Expr:
     """--C, or C fitted to the Cauchy data."""
     if args.C is not None:
         return _parse_expr(args.C)
-    parts = {"X_part": base.X, "U_part": base.U} if base.closed else {}
-    return hs.fit_C(base.g, t0, u0, w_end=_parse_expr(args.w_end), side=args.side, **parts)
+    return hs.fit_C(base, t0, u0, w_end=_parse_expr(args.w_end), side=args.side)
 
 
 def cmd_hs_cauchy(args) -> int:

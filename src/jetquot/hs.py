@@ -72,12 +72,21 @@ def constraint_G(g) -> sp.Expr:
 # ---------------------------------------------------------------------------
 
 
-def _closed(e: sp.Expr) -> sp.Expr | None:
-    """doit() an integral expression; None if an Integral survives."""
+def _closed(e: sp.Expr) -> sp.Expr:
+    """doit() an integral expression; ``e`` itself if an Integral or an
+    infinity survives."""
     out = e.doit()
-    if out.has(sp.Integral) or out.has(sp.nan, sp.zoo):
-        return None
+    if out.has(sp.Integral, sp.nan, sp.zoo, sp.oo, -sp.oo):
+        return e
     return sp.cancel(sp.together(out))
+
+
+def _moments(g: sp.Expr) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
+    """M₀, M₁, M₂ with Mₖ = ∫₀ʷ vᵏ g(v) dv, each in closed form or kept as
+    an Integral. The surface is linear in them:
+    X = M₀ + tM₁ + t²M₂/4 + C and U = M₁ + tM₂/2 + C′."""
+    moments = tuple(sp.Integral(v**k * g.subs(w, v), (v, 0, w)) for k in range(3))
+    return tuple(map(_closed, moments)) if g.free_symbols <= {w} else moments
 
 
 @dataclass
@@ -184,21 +193,22 @@ class ParamSolution:
 def general_solution(g, C, validity: tuple = ()) -> ParamSolution:
     """The parametrized solution surface for a given g(w) and C(t).
 
-    Antiderivatives use the base point 0 (∫₀ʷ); integrals are evaluated
-    in closed form when possible, otherwise kept for quadrature.
+    X and U are built from the t-free moments of g (base point 0, ∫₀ʷ).
+    Where a moment they need does not close, each keeps one Integral
+    for quadrature.
     """
     g = _in_w(g)
     C = sp.sympify(C)
+    M0, M1, M2 = _moments(g)
     gv = g.subs(w, v)
-    X_int = sp.Integral((t * v + 2)**2 * gv, (v, 0, w)) / 4
-    U_int = sp.Integral((t * v + 2) * v * gv, (v, 0, w)) / 2
-    X = (_closed(X_int) if g.free_symbols <= {w} else None)
-    U = (_closed(U_int) if g.free_symbols <= {w} else None)
-    X = (X if X is not None else X_int) + C
-    U = (U if U is not None else U_int) + C.diff(t)
+    X, U = M0 + t * M1 + t**2 * M2 / 4, M1 + t * M2 / 2
+    X = (sp.Integral((t * v + 2)**2 * gv, (v, 0, w)) / 4 if X.has(sp.Integral)
+         else sp.cancel(sp.together(X)))
+    U = (sp.Integral((t * v + 2) * v * gv, (v, 0, w)) / 2 if U.has(sp.Integral)
+         else sp.cancel(sp.together(U)))
     degenerate = exact_zero(g)
     conds = tuple(sp.sympify(c) for c in validity)
-    return ParamSolution(g, C, X, U, conds, degenerate)
+    return ParamSolution(g, C, X + C, U + C.diff(t), conds, degenerate)
 
 
 def closed_form_solution(g, C, X_part, U_part, validity: tuple = ()) -> ParamSolution:
@@ -345,32 +355,18 @@ def cauchy_g_numeric(t0: float, u0_fn, u0p_fn, u0pp_fn, bracket=(-50.0, 50.0)):
     return g
 
 
-def fit_C(g, t0, u0, rule="decay", w_end=0, side="-",
-          X_part=None, U_part=None) -> sp.Expr:
-    """Determine C(t) for a Cauchy problem.
+def fit_C(sol: ParamSolution, t0, u0, w_end=0, side="-") -> sp.Expr:
+    """Determine C(t) for a Cauchy problem on the surface ``sol``.
 
-    rule="decay" imposes u → 0 along the surface end w → ``w_end``
-    (a decay-at-infinity boundary condition in x), which fixes C'(t); the
-    remaining constant comes from matching u(t0, ·) = u0. An explicit
-    expression passed as ``rule`` is returned unchanged.
-
-    ``X_part``/``U_part`` override the ∫₀ʷ antiderivatives when those
-    diverge (see :func:`closed_form_solution`).
+    The antiderivatives are read from the surface (X − C and U − C′), so
+    nothing is integrated again. Decay u → 0 along the surface end
+    w → ``w_end`` (a decay-at-infinity boundary condition in x) fixes
+    C'(t); the remaining constant comes from matching u(t0, ·) = u0.
     """
-    if rule != "decay":
-        return sp.sympify(rule)
-    g = _in_w(g)
-    t0 = sp.sympify(t0)
-    u0 = sp.sympify(u0)
-    gv = g.subs(w, v)
-    if U_part is None:
-        U_part = _closed(sp.Integral((t * v + 2) * v * gv, (v, 0, w)) / 2)
-    if X_part is None:
-        X_part = _closed(sp.Integral((t * v + 2)**2 * gv, (v, 0, w)) / 4)
-    if U_part is None or X_part is None:
-        raise CauchyError("antiderivatives are not elementary here; supply "
-                          "X_part and U_part explicitly")
-    U_part, X_part = sp.sympify(U_part), sp.sympify(X_part)
+    if not sol.closed:
+        raise CauchyError("the surface keeps an integral; use closed_form_solution")
+    t0, u0 = sp.sympify(t0), sp.sympify(u0)
+    X_part, U_part = sol.X - sol.C, sol.U - sol.C.diff(t)
 
     end = sp.limit(U_part, w, sp.sympify(w_end), side)
     if end.has(sp.oo, -sp.oo, sp.zoo, sp.nan):
@@ -568,11 +564,8 @@ def hs_comparison(g) -> ComparisonMaps:
     g = _in_w(g)
     if exact_zero(g):
         raise SymcoreError("g = 0 makes the change of variables degenerate")
-    gv = g.subs(w, v)
-    def anti(e):
-        c = _closed(sp.Integral(e, (v, 0, w)))
-        return c if c is not None else sp.Integral(e, (v, 0, w))
-    return ComparisonMaps(anti(gv), anti(gv * v), anti(gv * v**2) / 2)
+    M0, M1, M2 = _moments(g)
+    return ComparisonMaps(M0, M1, M2 / 2)
 
 
 # ---------------------------------------------------------------------------

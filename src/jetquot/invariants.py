@@ -118,10 +118,10 @@ class TresseFrame:
 @dataclass
 class InvarianceReport:
     invariant: sp.Expr
-    verdicts: list[tuple[VectorField, ZeroVerdict, sp.Expr]]  # (X, verdict, residual)
+    verdicts: list[tuple[VectorField, ZeroVerdict]]
 
     def __bool__(self):
-        return all(v.is_zero for _, v, _ in self.verdicts)
+        return all(v.is_zero for _, v in self.verdicts)
 
 
 def check_invariant(e: sp.Expr, gens: list[VectorField], M: PdeManifold) -> InvarianceReport:
@@ -131,8 +131,8 @@ def check_invariant(e: sp.Expr, gens: list[VectorField], M: PdeManifold) -> Inva
     tested identically in the formal function and its derivatives.
     """
     e = M.restrict(sp.sympify(e))
-    verdicts = [is_zero(M.restrict(apply_prolonged(X, e, cap=M.cap))) for X in gens]
-    return InvarianceReport(e, [(X, v, v.residual) for X, v in zip(gens, verdicts)])
+    return InvarianceReport(e, [(X, is_zero(M.restrict(apply_prolonged(X, e, cap=M.cap))))
+                                for X in gens])
 
 
 def check_commutation(fr: TresseFrame, M: PdeManifold, probe: sp.Expr) -> ZeroVerdict:

@@ -33,6 +33,7 @@ a claim that is not proved zero is first read.
 
 from __future__ import annotations
 
+import builtins
 import math
 import random
 import re
@@ -1041,8 +1042,9 @@ def compile_numeric(expr: sp.Expr, args: Sequence[Symbol]) -> Callable[..., floa
     time. A call returns a float or raises :class:`EvalError` at a pole,
     on a domain or overflow error, for a non-real value (an even root or
     a fractional power of a negative number) and when quadrature does
-    not converge. A free symbol outside ``args`` or a formal function
-    raises EvalError here, at compile time.
+    not converge. A free symbol outside ``args``, a formal function or a
+    function the ``math`` printer cannot name raises EvalError here, at
+    compile time.
     """
     expr = sp.sympify(expr)
     args = tuple(args)
@@ -1053,6 +1055,10 @@ def compile_numeric(expr: sp.Expr, args: Sequence[Symbol]) -> Callable[..., floa
     slots = tuple(Symbol(f"_quad{k}") for k in range(len(integrals)))
     quads = [_quadrature(integral, args) for integral in integrals]
     f = sp.lambdify(args + slots, expr.xreplace(dict(zip(integrals, slots))), "math")
+    unnamed = [n for n in f.__code__.co_names
+               if n not in f.__globals__ and not hasattr(builtins, n)]
+    if unnamed:
+        raise EvalError("no numeric function for " + ", ".join(unnamed), expr)
 
     def evaluate(*point) -> float:
         point = tuple(map(float, point))

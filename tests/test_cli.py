@@ -91,6 +91,16 @@ def test_hs_solve_residual_grid_excludes_failed_points(capsys, tmp_path, monkeyp
     assert "over 6 points (9 excluded)" in out
 
 
+def test_hs_solve_residual_grid_fails_when_no_point_is_evaluated(capsys, tmp_path,
+                                                                 monkeypatch):
+    monkeypatch.setenv("JETQUOT_OUTPUT_DIR", str(tmp_path))
+    code, out, err = run(capsys, "hs", "solve", "--g", "exp(w)", "--C", "0",
+                         "--t", "0:1:0.5", "--w", "-0.5:0.5:0.5",
+                         "--validity", "sqrt(-1-w^2)", "--residual-grid")
+    assert code == 1
+    assert "over 0 points (9 excluded)" in out and "no grid point" in err
+
+
 def test_hs_cauchy_report(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("JETQUOT_OUTPUT_DIR", str(tmp_path))
     code, out, _ = run(capsys, "hs", "cauchy", "--t0", "1", "--u0", "x^2")
@@ -130,7 +140,8 @@ def test_hs_cauchy_and_singular_read_t0_exactly(capsys, tmp_path, monkeypatch):
 
 
 def test_hs_cauchy_integrates_each_antiderivative_once(capsys, tmp_path, monkeypatch):
-    # fitting C and adding it reuse the closed parts of the surface with C = 0
+    # fitting C and adding it reuse the surface with C = 0, whose three
+    # moments are the only integrals taken
     from jetquot import hs
 
     monkeypatch.setenv("JETQUOT_OUTPUT_DIR", str(tmp_path))
@@ -139,9 +150,9 @@ def test_hs_cauchy_integrates_each_antiderivative_once(capsys, tmp_path, monkeyp
     monkeypatch.setattr(hs, "_closed", lambda e: calls.append(e) or closed(e))
     code, out, _ = run(capsys, "hs", "cauchy", "--t0", "1", "--u0", "x^2")
     assert code == 0 and "C(t) = 0" in out
-    assert len(calls) == 2
+    assert len(calls) == 3
     code, _, _ = run(capsys, "hs", "singular", "--from-cauchy", "x^2", "--times", "1.5")
-    assert code == 0 and len(calls) == 4
+    assert code == 0 and len(calls) == 6
 
 
 def test_hs_transform(capsys):
@@ -187,6 +198,13 @@ def test_catalog_solve_invalid_parameter(capsys):
                        "--g", "x", "--C", "t", "--param", "A=1")
     assert code == 1
     assert "A = 1" in err
+
+
+def test_catalog_solve_rejects_an_undeclared_parameter(capsys):
+    code, _, err = run(capsys, "catalog", "solve", "ex3.2", "--param", "case=riccati")
+    assert code == 1 and "case" in err
+    code, out, _ = run(capsys, "catalog", "solve", "ex3.2")
+    assert code == 0 and "exact zero" in out
 
 
 def test_catalog_characteristics(capsys, tmp_path, monkeypatch):
@@ -328,3 +346,28 @@ def test_run_rejects_epsilon(capsys, tmp_path):
                              "parameters": {"g": "x", "C": "t", "A": 2, "epsilon": 0.1}})
     code, _, err = run(capsys, "run", path)
     assert code == 2 and "problem file rejected" in err
+
+
+# ---------------------------------------------------------------------------
+# README
+# ---------------------------------------------------------------------------
+
+
+def _readme_commands():
+    """The jetquot commands of the README "Command line" block, with
+    continuation lines joined and comments dropped."""
+    import pathlib
+    import shlex
+
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    return [argv[1:] for argv in commands if argv and argv[:2] != ["jetquot", "run"]]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_exits_0(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.setenv("JETQUOT_OUTPUT_DIR", str(tmp_path))
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err

@@ -110,6 +110,32 @@ def test_with_C_is_the_surface_of_that_C(g):
     assert general_solution(g, 0).with_C(C) == general_solution(g, C)
 
 
+@pytest.mark.parametrize("g", [1 / (1 + w**2), sp.sqrt(w + 3)], ids=["atan", "sqrt"])
+def test_elementary_g_gives_an_evaluable_closed_surface(g):
+    sol = general_solution(g, t**2)
+    assert sol.closed
+    rep = residual(sol, grid([0.0, 0.5, 1.0], [-0.5, 0.0, 0.5]), method="exact")
+    assert rep.evaluated == 9 and rep.max_residual < 1e-10
+
+
+def test_divergent_moment_keeps_an_integral_and_no_infinity():
+    # ∫₀ʷ g diverges at w = 0, so X keeps its Integral; U needs only the
+    # convergent moments and closes
+    sol = general_solution(G_EXP, 0)
+    assert not sol.closed and sol.X.has(sp.Integral) and not sol.U.has(sp.Integral)
+    assert not sol.X.has(sp.oo, -sp.oo, sp.zoo, sp.nan)
+
+
+@pytest.mark.parametrize("g", [sp.exp(w), 8 / (2 + w) ** 4, 1 / (1 + w**2)],
+                         ids=["exp", "quartic", "atan"])
+def test_surface_is_linear_in_the_comparison_moments(g):
+    C = t**2 + 1
+    sol, maps = general_solution(g, C), hs_comparison(g)
+    for gap in (sol.X - (maps.xi + t * maps.alpha + t**2 * maps.beta / 2 + C),
+                sol.U - (maps.alpha + t * maps.beta + C.diff(t))):
+        assert is_zero(gap).mode == "deterministic"
+
+
 def test_degenerate_g_is_flagged():
     sol = general_solution(sp.Integer(0), t)
     assert sol.degenerate
@@ -191,25 +217,26 @@ def test_cauchy_g_numeric_agrees():
 
 
 def test_fit_C_exponential_decay():
-    C = fit_C(G_EXP, 1, sp.exp(-x), w_end=0, side="-",
-              X_part=XP_EXP, U_part=UP_EXP)
+    C = fit_C(closed_form_solution(G_EXP, 0, XP_EXP, UP_EXP), 1, sp.exp(-x),
+              w_end=0, side="-")
     # decay at the w -> 0 end pins C' = -t - 1; slice matching adds the
     # constant 3/2 - ln 2
     expected = -t**2 / 2 - t + sp.Rational(3, 2) - sp.log(2)
     assert sp.simplify(C - expected) == 0
 
 
-def test_fit_C_explicit_rule_passthrough():
-    assert fit_C(G_EXP, 1, sp.exp(-x), rule=-t) == -t
-
-
 def test_fit_C_quadratic():
-    C = fit_C(8 / (2 + w) ** 4, 1, x**2)
+    C = fit_C(general_solution(8 / (2 + w) ** 4, 0), 1, x**2)
     sol = general_solution(8 / (2 + w) ** 4, C)
     # the fitted surface reproduces the initial profile u(1, x) = x^2
     for wv in (-0.8, -0.2, 0.6, 1.5):
         xv, uv = sol.x_of(1.0, wv), sol.u_of(1.0, wv)
         assert abs(uv - xv**2) < 1e-10
+
+
+def test_fit_C_needs_a_closed_surface():
+    with pytest.raises(CauchyError):
+        fit_C(general_solution(G_EXP, 0), 1, sp.exp(-x))
 
 
 # ---------------------------------------------------------------------------

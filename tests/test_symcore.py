@@ -312,6 +312,11 @@ def test_eval_numeric_unbound():
         compile_numeric(t + x, (t,))
 
 
+def test_eval_numeric_refuses_a_function_math_cannot_name():
+    with pytest.raises(EvalError, match="polar_lift"):
+        compile_numeric(sp.polar_lift(t) + 1, (t,))
+
+
 @pytest.mark.parametrize("e, at", [
     (sp.sqrt(t), -1.0),
     (t ** sp.Rational(1, 3), -8.0),  # odd roots too take the principal branch

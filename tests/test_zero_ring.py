@@ -166,7 +166,7 @@ def test_holding_claims_are_not_normalized(monkeypatch):
         res = check_symmetry(X, M)
         assert res.verdict.mode == "deterministic" and res.residual == 0
     report = check_invariant(fr.I, e.gens, M)
-    assert all(v.mode == "deterministic" and r == 0 for _, v, r in report.verdicts)
+    assert all(v.mode == "deterministic" and v.residual == 0 for _, v in report.verdicts)
     assert fr.duality_residuals() == [0, 0, 0, 0]
     assert check_syzygy(e.syzygies[0], fr, e.higher_invariants(), M).mode == "deterministic"
     assert calls == []
@@ -225,6 +225,19 @@ def test_failing_claim_certificate_is_the_normal_form(monkeypatch):
     residual = res.residual
     assert res.residual is residual and len(calls) == 1
     assert residual == normalize(calls[0]) and residual != 0
+
+
+def test_failing_invariance_claim_certificate_is_read_lazily(monkeypatch):
+    import jetquot.invariants as inv
+    import jetquot.pde as pde
+
+    calls = _count_normalize(monkeypatch, [symcore, pde, inv])
+    e = catalog.get("hunter-saxton")
+    report = check_invariant(u, e.gens, e.manifold)
+    assert not report and calls == []
+    failed = [v for _, v in report.verdicts if not v.is_zero]
+    assert failed and calls == []
+    assert failed[0].residual != 0 and len(calls) == 1
 
 
 def test_holding_claim_certificate_is_zero_without_normalize(monkeypatch):
