@@ -830,6 +830,12 @@ class Instantiation:
     verdict: ZeroVerdict | None  # zero test of the residual of F on u
 
 
+def _check_declared(entry: CatalogEntry, params: dict) -> None:
+    unknown = sorted(set(params) - set(entry.parameters))
+    if unknown:
+        raise ParameterError(f"entry {entry.name!r} has no parameter {', '.join(unknown)}")
+
+
 def instantiate(name: str, g=None, C=None, params: dict | None = None,
                 which: int = 0) -> Instantiation:
     """Pin the quotient solution of an entry to concrete g, C and parameters.
@@ -841,9 +847,7 @@ def instantiate(name: str, g=None, C=None, params: dict | None = None,
     params = dict(params or {})
     if not e.solutions and e.reconstruction is None:
         raise ParameterError(f"entry {name!r} records no closed-form solution")
-    unknown = sorted(set(params) - set(e.parameters))
-    if unknown:
-        raise ParameterError(f"entry {name!r} has no parameter {', '.join(unknown)}")
+    _check_declared(e, params)
 
     def as_binding(val, default_var):
         if val is None:
@@ -933,8 +937,8 @@ def _charspeeds(entry: CatalogEntry, params: dict):
     for part in (a, b, c):
         if part.has(dI) or part.has(dJ):
             raise CharacteristicsError("syzygy is not quasilinear in the base token")
-    subs = {entry.parameters[n]: sp.sympify(v) for n, v in (params or {}).items()
-            if n in entry.parameters}
+    _check_declared(entry, params)
+    subs = {entry.parameters[n]: sp.sympify(v) for n, v in params.items()}
     syms = (I_tok, J_tok, base)
     return tuple(compile_numeric(p.xreplace(subs), syms) for p in (a, b, c))
 

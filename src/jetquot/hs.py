@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-import numpy as np
 import sympy as sp
-from scipy.optimize import brentq
 
 from .symcore import EvalError, SymcoreError, compile_numeric, exact_zero, is_zero, jet, t, x
 
@@ -307,6 +306,65 @@ def residual(sol: ParamSolution, grid, h: float = 1e-5,
 
 
 # ---------------------------------------------------------------------------
+# Bracketed root finding
+# ---------------------------------------------------------------------------
+
+
+def _brentq(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100) -> float:
+    """A root of ``f`` on [a, b], where f(a) and f(b) differ in sign.
+
+    A step-for-step port of SciPy's C ``brentq`` (Brent 1973) with its
+    defaults, so it returns the same float: ValueError when the ends have
+    one sign or a value is NaN, RuntimeError after ``maxiter`` steps.
+    """
+    def value(z: float) -> float:
+        fz = float(f(z))
+        if math.isnan(fz):
+            raise ValueError(f"The function value at x={z} is NaN; solver cannot continue.")
+        return fz
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1, fpre) == math.copysign(1, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1, fpre) != math.copysign(1, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless interpolation offers a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gets inf or nan here, and so bisects
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+# ---------------------------------------------------------------------------
 # Cauchy data
 # ---------------------------------------------------------------------------
 
@@ -349,7 +407,7 @@ def cauchy_g_numeric(t0: float, u0_fn, u0p_fn, u0pp_fn, bracket=(-50.0, 50.0)):
         xa, xb = slope_gap(a), slope_gap(b)
         if xa * xb > 0:
             raise CauchyError(f"slope map does not attain w = {wv} on {bracket}")
-        xv = brentq(slope_gap, a, b, xtol=1e-14)
+        xv = _brentq(slope_gap, a, b, xtol=1e-14)
         p = u0p_fn(xv)
         return (2 - t0 * p)**4 / (16 * u0pp_fn(xv))
     return g
@@ -417,9 +475,10 @@ def singular_curve(sol: ParamSolution, times, w_window=(-40.0, -1e-3),
     xw_f = compile_numeric(sol.X_w, (t, w))
     xww_f = compile_numeric(sp.cancel(sp.together(sol.X_w.diff(w))), (t, w))
     samples = []
-    lo, hi = w_window
+    lo, hi = map(float, w_window)
+    step = (hi - lo) / max(n - 1, 1)
+    ws = [k * step + lo for k in range(n - 1)] + [hi]  # np.linspace's formula, to the bit
     for tv in times:
-        ws = np.linspace(lo, hi, n)
         vals, dvals = [], []
         for wv in ws:
             pair = math.nan, math.nan
@@ -437,14 +496,14 @@ def singular_curve(sol: ParamSolution, times, w_window=(-40.0, -1e-3),
             if math.isnan(fa) or math.isnan(fb) or fa * fb > 0:
                 continue
             try:
-                roots.append(brentq(lambda z: xw_f(tv, z), a, b, xtol=1e-14))
+                roots.append(_brentq(lambda z: xw_f(tv, z), a, b, xtol=1e-14))
             except EvalError:
                 continue
         for a, b, da, db in zip(ws, ws[1:], dvals, dvals[1:]):
             if math.isnan(da) or math.isnan(db) or da * db > 0:
                 continue
             try:
-                crit = brentq(lambda z: xww_f(tv, z), a, b, xtol=1e-14)
+                crit = _brentq(lambda z: xww_f(tv, z), a, b, xtol=1e-14)
                 near_zero = abs(xw_f(tv, crit)) < zero_tol
             except EvalError:
                 continue

@@ -37,13 +37,13 @@ import builtins
 import math
 import random
 import re
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import mpmath
 import sympy as sp
-from scipy.integrate import quad
 from sympy import Rational, Symbol
 from sympy.core.function import AppliedUndef
 from sympy.polys.domains import QQ
@@ -1082,15 +1082,20 @@ def compile_numeric(expr: sp.Expr, args: Sequence[Symbol]) -> Callable[..., floa
 
 def _quadrature(integral: sp.Integral, args: tuple) -> Callable[[tuple], float]:
     """point -> value of a definite integral, by adaptive quadrature over
-    its outermost variable (inner ones recurse through the integrand)."""
+    its outermost variable (inner ones recurse through the integrand).
+    SciPy is imported here, so only a surface that keeps an integral loads it."""
+    from scipy.integrate import IntegrationWarning, quad
+
     *inner, (var, lo, hi) = integral.limits
     integrand = sp.Integral(integral.function, *inner) if inner else integral.function
     integrand = compile_numeric(integrand, (var,) + args)
     lo_f, hi_f = compile_numeric(lo, args), compile_numeric(hi, args)
 
     def value(point: tuple) -> float:
-        val, err = quad(lambda z: integrand(z, *point), lo_f(*point), hi_f(*point),
-                        epsabs=1e-12, epsrel=1e-12, limit=200)
+        with warnings.catch_warnings():  # the error estimate below decides failure
+            warnings.simplefilter("ignore", IntegrationWarning)
+            val, err = quad(lambda z: integrand(z, *point), lo_f(*point), hi_f(*point),
+                            epsabs=1e-12, epsrel=1e-12, limit=200)
         if not math.isfinite(val) or err > 1e-8:
             raise EvalError(f"quadrature failed at {point}: error {err}")
         return val

@@ -218,6 +218,15 @@ def test_catalog_characteristics(capsys, tmp_path, monkeypatch):
     assert rows[0] == "curve,I,J,H,flag"
 
 
+def test_catalog_characteristics_rejects_an_undeclared_parameter(capsys, tmp_path,
+                                                                 monkeypatch):
+    monkeypatch.setenv("JETQUOT_OUTPUT_DIR", str(tmp_path))
+    code, _, err = run(capsys, "catalog", "characteristics", "hunter-saxton",
+                       "--span", "0:1", "--step", "0.02", "--param", "Q=7")
+    assert code == 1 and "no parameter Q" in err
+    assert not (tmp_path / "characteristics.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # expr
 # ---------------------------------------------------------------------------

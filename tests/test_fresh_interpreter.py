@@ -1,0 +1,68 @@
+"""What only a fresh interpreter shows: the modules the cold path loads
+and what reaches stderr."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import jetquot
+
+_SRC = str(pathlib.Path(jetquot.__file__).parents[1])
+
+
+def python(code: str, tmp_path, *args) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, "JETQUOT_OUTPUT_DIR": str(tmp_path)}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, cwd=tmp_path, env=env, timeout=300)
+
+
+_HEAVY = 'sorted(m for m in sys.modules if m.startswith(("scipy", "numpy")))'
+
+
+def test_cold_path_loads_neither_scipy_nor_numpy(tmp_path):
+    code = f"""
+import json, sys
+import jetquot
+from jetquot import catalog, cli
+after_import = {_HEAVY}
+catalog.entries()
+singular = cli.main(["hs", "singular", "--from-cauchy", "x^2", "--t0", "1",
+                     "--C=-(t-1)^2/3", "--times", "1.5,2,2.5",
+                     "--check", "3*x^2*u^2+4*x^3-u^3+1", "--tol", "1e-10"])
+verify = cli.main(["verify", "hunter-saxton"])
+print(json.dumps([after_import, singular, verify, {_HEAVY}]))
+"""
+    proc = python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    after_import, singular, verify, after_run = json.loads(proc.stdout.splitlines()[-1])
+    assert (singular, verify) == (0, 0)
+    assert after_import == [] and after_run == []
+
+
+def test_integral_loads_scipy_when_compiled(tmp_path):
+    code = """
+import json, math, sys
+import sympy as sp
+from jetquot.symcore import compile_numeric
+z, s = sp.symbols("z s")
+before = "scipy" in sys.modules
+f = compile_numeric(sp.Integral(sp.exp(-z**2), (z, 0, s)), (s,))
+print(json.dumps([before, "scipy" in sys.modules, f(1.0) - math.sqrt(math.pi) * math.erf(1) / 2]))
+"""
+    proc = python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    before, after, error = json.loads(proc.stdout)
+    assert not before and after
+    assert abs(error) < 1e-12
+
+
+def test_divergent_quadrature_prints_no_scipy_warning(tmp_path):
+    code = "import sys; from jetquot.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = python(code, tmp_path, "hs", "solve", "--g", "-8/(w*(w+2)^3)", "--C", "0",
+                  "--t", "0:1:0.5", "--w=-0.5:0.5:0.5", "--residual-grid")
+    assert proc.returncode == 1
+    assert "no grid point could be evaluated" in proc.stderr
+    assert "IntegrationWarning" not in proc.stderr

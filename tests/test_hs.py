@@ -1,5 +1,6 @@
 """The Hunter-Saxton pipeline: surfaces, Cauchy data, singular curves, flows."""
 
+import inspect
 import json
 import math
 
@@ -269,6 +270,68 @@ def test_singular_curve_empty_raises():
     curve = singular_curve(sol, [0.5], w_window=(0.1, 0.5))
     with pytest.raises(Exception):
         curve.max_violation(x)
+
+
+def test_singular_curve_grid_is_numpy_linspace(monkeypatch):
+    np = pytest.importorskip("numpy")
+    params = inspect.signature(singular_curve).parameters
+    lo, hi = params["w_window"].default
+    n = params["n"].default
+    assert n == 2000
+    sol = general_solution(sp.exp(w), sp.Integer(0))
+    seen = []
+    monkeypatch.setattr(type(sol), "excluded", lambda self, tv, wv: seen.append(wv))
+    singular_curve(sol, [1.0])
+    assert [wv.hex() for wv in seen] == [wv.hex() for wv in np.linspace(lo, hi, n).tolist()]
+
+
+# ---------------------------------------------------------------------------
+# Bracketed root finding: the port of SciPy's brentq
+# ---------------------------------------------------------------------------
+
+_FAMILIES = (
+    lambda c, z: c[0] + c[1] * z + c[2] * z**2 + c[3] * z**3,
+    lambda c, z: math.tanh(c[0] * z + c[1]) + c[2] / 10,
+    lambda c, z: math.sin(3 * c[0] * z) + c[1] / 3,
+    lambda c, z: math.exp(c[0] * z) - abs(c[1]) - 0.01,
+    lambda c, z: 1e-150 * (z - c[0]) ** 3,  # products of two values underflow
+)
+_real = st.floats(-5, 5)
+
+
+def _outcome(solver, f, a, b, **kw):
+    try:
+        return solver(f, a, b, **kw).hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+@given(st.sampled_from(_FAMILIES), st.lists(_real, min_size=4, max_size=4),
+       st.floats(-5, 0), st.floats(0, 5), st.floats(0, 1),
+       st.sampled_from([1e-14, 2e-12, 1e-6]), st.sampled_from([100, 3]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_brentq_port_matches_scipy_bit_for_bit(family, c, a, b, s, xtol, maxiter):
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    # f vanishes at r in [a, b], and changes sign there unless r is an extremum
+    r = a + s * (b - a)
+
+    def f(z):
+        return family(c, z) - family(c, r)
+
+    assert (_outcome(hs._brentq, f, a, b, xtol=xtol, maxiter=maxiter)
+            == _outcome(brentq, f, a, b, xtol=xtol, maxiter=maxiter))
+
+
+@pytest.mark.parametrize("f, kw, error", [
+    (lambda z: z * z + 1, {}, ValueError),
+    (lambda z: math.nan if z > 1.5 else z - 1, {}, ValueError),
+    (lambda z: z**3 - 2, {"maxiter": 2}, RuntimeError),
+], ids=["same sign", "nan", "no convergence"])
+def test_brentq_port_raises_as_scipy(f, kw, error):
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    for solver in (hs._brentq, brentq):
+        with pytest.raises(error):
+            solver(f, 0.0, 2.0, **kw)
 
 
 # ---------------------------------------------------------------------------
