@@ -531,8 +531,7 @@ def _entries() -> dict[str, CatalogEntry]:
     add(CatalogEntry(
         name="ex3.2",
         description="u_tx = u_t (α₁(x) u + α₂(x)), a Riccati quotient; "
-                    "explicit solutions for g ≡ 0 and for the linear case "
-                    "α₁ ≡ 0.",
+                    "explicit solution for g ≡ 0.",
         F=u_tx - u_t * (b1(x) * u + b2(x)), principal=(1, 1),
         gens=[_formal_family(3)],
         invariants={"I": x, "J": u, "H": u_x},

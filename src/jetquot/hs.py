@@ -369,6 +369,23 @@ def _brentq(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100) -
 # ---------------------------------------------------------------------------
 
 
+def _poly_solve(eq: sp.Expr, var: sp.Symbol) -> list[sp.Expr] | None:
+    """The solutions of eq = 0 for ``var`` as ``sp.solve`` lists them (the
+    same roots, simplified when at most two, in default-key order) when eq
+    is a polynomial in ``var`` whose roots it finds without general cubic
+    or quartic formulas; else None. No ``sp.solve`` solution check runs."""
+    if not eq.is_polynomial(var):
+        return None
+    poly = sp.Poly(eq, var)
+    found = sp.roots(poly, cubics=False, quartics=False, quintics=False)
+    if sum(found.values()) != poly.degree():
+        return None
+    sols = list(found)
+    if len(sols) <= 2:
+        sols = [sp.simplify(r) for r in sols]
+    return sorted(sols, key=sp.default_sort_key)
+
+
 def cauchy_g(t0, u0) -> sp.Expr | list[sp.Expr]:
     """Solve 16 g(2u₀'/(2−t₀u₀')) u₀'' = (2−t₀u₀')⁴ for g.
 
@@ -383,9 +400,12 @@ def cauchy_g(t0, u0) -> sp.Expr | list[sp.Expr]:
     if is_zero(u0pp):
         raise CauchyError("u0'' vanishes identically; the constraint "
                           "16 g(w) u_xx = (2-t u_x)^4 cannot hold")
-    slope = 2 * u0p / (2 - t0 * u0p)
     g_of_x = (2 - t0 * u0p)**4 / (16 * u0pp)
-    branches = sp.solve(sp.Eq(slope, w), x)
+    # the slope map w = 2p/(2 - t0 p) is a Möbius map in p = u0'(x);
+    # its inverse is p = 2w/(2 + t0 w)
+    branches = _poly_solve(u0p - 2 * w / (2 + t0 * w), x)
+    if branches is None:
+        branches = sp.solve(sp.Eq(2 * u0p / (2 - t0 * u0p), w), x)
     if not branches:
         raise CauchyError("could not invert the slope map symbolically; "
                           "supply g numerically instead")
@@ -436,7 +456,9 @@ def fit_C(sol: ParamSolution, t0, u0, w_end=0, side="-") -> sp.Expr:
     u_slice = (U_part + Cp).subs(t, t0)
     x_slice = X_part.subs(t, t0) + K
     gap = sp.simplify(u0.subs(x, x_slice) - u_slice)
-    sols = sp.solve(gap, K)
+    sols = _poly_solve(gap, K)
+    if sols is None:
+        sols = sp.solve(gap, K)
     consts = [s for s in sols if w not in s.free_symbols]
     if not consts:
         raise CauchyError("decay rule is inconsistent with the initial slice")

@@ -23,6 +23,7 @@ from .pde import PdeManifold
 from .symcore import (
     SymcoreError,
     ZeroVerdict,
+    _exact_verdict,
     _ring_leaves,
     _RingWalk,
     exact_zero,
@@ -231,8 +232,9 @@ def check_quotient_solution(s: Syzygy, sol: QuotientSolution) -> ZeroVerdict:
     Works at the token level (functions of I, J and formal parameters),
     no jet realization involved. An implicit solution need annihilate the
     residual only modulo Φ = 0; when Φ is polynomial in the base token the
-    residual is replaced by its remainder modulo Φ. The residual is
-    zero-tested exactly once; only a claim that fails is normalized and
+    residual is replaced by its remainder modulo Φ. Stage 1 of the zero
+    test runs once on the residual and either proves it or refutes it
+    with an exact witness; only a claim it leaves open is normalized and
     sampled.
     """
     residual = s.lhs.xreplace(sol.token_substitution())
@@ -240,8 +242,9 @@ def check_quotient_solution(s: Syzygy, sol: QuotientSolution) -> ZeroVerdict:
     if phi is not None and phi.is_polynomial(sol.base):
         num, _ = sp.fraction(sp.together(residual))
         _, residual = sp.div(sp.expand(num), sp.expand(phi), sol.base)
-    if exact_zero(residual):
-        return ZeroVerdict(True, "deterministic", expr=residual)
+    verdict = _exact_verdict(residual)
+    if verdict is not None:
+        return verdict
     # the normal form preconditions stage 2: sampling the raw residual, a
     # large unreduced rational function of I and J, takes about twice as
     # long on refuted quotient claims

@@ -19,13 +19,21 @@ the kernelized expression is walked into a sparse polynomial ring over
 QQ as numerator / product of primitive denominator factors. No gcd is
 taken, so the value is zero exactly when the numerator is; the root
 relations r**L = base and integer shifts between symbolic exponents are
-then reduced inside the ring. Stage 2 is a probabilistic fallback that
-evaluates the expression to 40 digits at random rational points: formal
-functions get random cubic stand-ins, and formal integrals are computed
-by 40-digit Gauss-Legendre quadrature, never integrated symbolically. A
-quadrature that misses its error bound rejects the sample like a pole
-does, and another point is drawn; a SymPy function that is not formal
-has no stand-in, so its samples are all rejected and the test is
+then reduced inside the ring. When the numerator is not zero and every
+generator is a symbol or a formal function of symbols, stage 1 also
+refutes: it evaluates numerator and denominator exactly over QQ at a
+random rational point, with a random polynomial stand-in for each formal
+function, and a nonzero value is an exact witness. Stage 2 is a
+probabilistic fallback that evaluates the expression to 40 digits at
+random rational points, with the same stand-ins: a formal function
+applied at m argument tuples with partials up to order k gets every
+monomial of total degree max(3, m(k+1) - 1), so no relation among those
+values holds for the stand-in alone. A formal integral of a polynomial
+integrand becomes its exact value; any other is computed by 40-digit
+Gauss-Legendre quadrature, never integrated symbolically. A quadrature
+that misses its error bound rejects the sample like a pole does, and
+another point is drawn; a SymPy function that is not formal has no
+stand-in, so its samples are all rejected and the test is
 indeterminate. :func:`normalize` is the separate, printable rational
 normal form; a verdict's ``residual`` calls it when the certificate of
 a claim that is not proved zero is first read.
@@ -40,7 +48,8 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from itertools import combinations_with_replacement
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import mpmath
 import sympy as sp
@@ -221,21 +230,33 @@ def bind_formal(e: sp.Expr, name: str, params: Sequence[Symbol], expr: sp.Expr) 
     concrete expression in ``params``.
 
     ``bind_formal(G, "g", (w,), exp(w))`` turns every g^(k)(a) into
-    (d^k/dw^k exp(w))|_{w=a}.
+    (d^k/dw^k exp(w))|_{w=a}. Each partial is differentiated once, and
+    the arguments replace the parameters in one simultaneous ``xreplace``.
     """
-    params = tuple(params)
+    return _bind(e, {name: (tuple(params), expr)})
+
+
+def _bind(e: sp.Expr, bindings: Mapping[str, tuple[tuple, sp.Expr]]) -> sp.Expr:
+    """:func:`bind_formal` for every ``name: (params, expr)`` of
+    ``bindings`` at once, in one walk of e."""
+    partials: dict[tuple, sp.Expr] = {}
 
     def query(node):
-        return is_formal(node) and node.base_name == name
+        return is_formal(node) and node.base_name in bindings
 
     def value(node):
+        params, expr = bindings[node.base_name]
         if len(node.args) != len(params):
-            raise SymcoreError(f"arity mismatch binding {name}")
-        d = expr
-        for p, o in zip(params, node.deriv_orders):
-            if o:
-                d = sp.diff(d, p, o)
-        return d.subs(dict(zip(params, node.args)), simultaneous=True)
+            raise SymcoreError(f"arity mismatch binding {node.base_name}")
+        key = (node.base_name, node.deriv_orders)
+        d = partials.get(key)
+        if d is None:
+            d = expr
+            for p, o in zip(params, node.deriv_orders):
+                if o:
+                    d = sp.diff(d, p, o)
+            partials[key] = d
+        return d.xreplace(dict(zip(params, node.args)))
 
     return e.replace(query, value)
 
@@ -521,6 +542,8 @@ class _Kernelizer:
         self.table: dict[sp.Expr, Symbol] = {}
         self.frac_bases: dict[sp.Expr, int] = {}
         self.counter = 0
+        #: a power with an exponent that is not a Rational was seen
+        self.symbolic_powers = False
 
     def _sym(self, kernel: sp.Expr) -> Symbol:
         if kernel not in self.table:
@@ -530,10 +553,14 @@ class _Kernelizer:
 
     def scan_fracs(self, e: sp.Expr):
         for node in sp.preorder_traversal(e):
-            if node.is_Pow and node.exp.is_Rational and not node.exp.is_Integer:
+            if not node.is_Pow or node.exp.is_Integer:
+                continue
+            if node.exp.is_Rational:
                 base = node.base
                 q = node.exp.q
                 self.frac_bases[base] = sp.ilcm(self.frac_bases.get(base, 1), q)
+            else:
+                self.symbolic_powers = True
 
     def run(self, e: sp.Expr) -> sp.Expr:
         self.scan_fracs(e)
@@ -572,6 +599,8 @@ class _Kernelizer:
     def _canon_arg(self, a):
         if isinstance(a, sp.Tuple):
             return sp.Tuple(*[self._canon_arg(b) for b in a])
+        if a.is_Symbol or a.is_Rational:
+            return a  # already canonical: cancel returns it unchanged
         w = self._walk(a)
         try:
             return sp.cancel(w)
@@ -664,8 +693,8 @@ def normalize(e: sp.Expr) -> sp.Expr:
 class ZeroVerdict:
     is_zero: bool
     mode: str  # "deterministic" | "probabilistic" | "nonzero"
-    witness: object = None
-    samples: int = 0  # stage-2 points drawn, rejected ones included
+    witness: object = None  # |value| at a point: exact Rational or 40-digit Float
+    samples: int = 0  # points drawn by the deciding stage, rejected ones included
     expr: sp.Expr = sp.S.Zero  # the expression judged
 
     def __bool__(self):
@@ -686,25 +715,34 @@ class ZeroVerdict:
 
 def exact_zero(e: sp.Expr) -> bool:
     """Stage 1 of :func:`is_zero` alone: True when e is provably zero."""
+    return _stage1(sp.sympify(e)) is None
+
+
+def _stage1(e: sp.Expr) -> "_RingForm | None":
+    """None when e is provably zero, else the ring form of e."""
     if e == 0:
-        return True
+        return None
     # align bound variables so dummy-renamed integrals share one kernel
-    e = _canon_integral_dummies(sp.sympify(e))
-    if _kernel_rational_zero(e):
-        return True
+    e = _canon_integral_dummies(e)
+    form = _kernel_ring(e)
+    if not form.num:
+        return None
     # same-base powers with symbolic exponents (x**a * x**b) kernelize to
     # unrelated symbols; combining exponents first is always sound, and
     # has nothing to combine where every power has a rational exponent
     # (the kernelizer already splits the argument of every exp)
-    if all(p.exp.is_Rational for p in e.atoms(sp.Pow)):
-        return False
+    if not form.symbolic_powers:
+        return form
     combined = sp.powsimp(e, combine="exp")
-    return combined is not e and _kernel_rational_zero(combined)
+    if combined is not e and not _kernel_ring(combined).num:
+        return None
+    return form
 
 
-def _kernel_rational_zero(e: sp.Expr) -> bool:
+def _kernel_ring(e: sp.Expr) -> "_RingForm":
     k = _Kernelizer()
-    return not _ring_numerator(k.run(e), k.table)
+    form = _ring_form(k.run(e), k.table)
+    return form._replace(symbolic_powers=k.symbolic_powers)
 
 
 # -- stage 1 in a factored-denominator polynomial ring ------------------------
@@ -875,11 +913,24 @@ def _relation(kernel: sp.Expr, sym: Symbol, table: dict, exponents: dict):
     return None
 
 
-def _ring_numerator(body: sp.Expr, table: dict, relations: bool = True):
-    """The numerator of ``body`` in the ring of its generators.
+class _RingForm(NamedTuple):
+    """Stage 1's result: num / Π base**power in ``ring(gens, QQ)``, with
+    ``den`` as ``{base: power}``. When ``reduced``, kernel relations were
+    reduced in ``num`` and ``den`` is no longer its denominator."""
 
-    It is the zero polynomial exactly when body is zero as a rational
-    function of its kernels, after the kernel relations (when
+    num: object
+    den: dict
+    gens: list
+    table: dict
+    reduced: bool
+    symbolic_powers: bool = False  # a power with an exponent not a Rational
+
+
+def _ring_form(body: sp.Expr, table: dict, relations: bool = True) -> _RingForm:
+    """``body`` in the ring of its generators.
+
+    The numerator is the zero polynomial exactly when body is zero as a
+    rational function of its kernels, after the kernel relations (when
     ``relations``) are reduced, latest kernel first so that what a
     reduction brings in is reduced afterwards.
     """
@@ -902,12 +953,16 @@ def _ring_numerator(body: sp.Expr, table: dict, relations: bool = True):
             raise UndefinedExpressionError(f"non-finite constant in {kernel}")
     gens = sorted(leaves, key=lambda a: (str(a), sp.default_sort_key(a)))
     walk = _RingWalk(gens)
-    num = walk(body)[0]
+    num, den = walk(body)
     for sym, q, value in plan:
         if not num:
             break
         num = _reduce(num, gens.index(sym), q, walk(value))
-    return num
+    return _RingForm(num, den, gens, table, bool(plan))
+
+
+#: the default seed of the zero test's random points and stand-ins
+_SEED = 20260823
 
 
 def _random_rational(rng: random.Random) -> Rational:
@@ -916,23 +971,132 @@ def _random_rational(rng: random.Random) -> Rational:
     return Rational(num, den)
 
 
-def _proxy_env(e: sp.Expr, rng: random.Random):
-    """Random cubic-polynomial stand-ins for every formal function in e."""
-    names = {}
-    for node in sp.preorder_traversal(e):
-        if is_formal(node):
-            names[node.base_name] = len(node.args)
-    proxies = []
-    for name, nargs in sorted(names.items()):
+def _stand_ins(nodes, rng: random.Random) -> dict[str, tuple[tuple, sp.Expr]]:
+    """A random polynomial stand-in ``{name: (params, poly)}`` for every
+    formal function applied in ``nodes``, the formal applications of an
+    expression, ready for :func:`_bind`.
+
+    A function applied at m distinct argument tuples, with partials of
+    total order up to k, gets every monomial of total degree at most
+    d = max(3, m(k+1) - 1). Such polynomials take any values and partials
+    up to order k at m distinct points (Hermite interpolation), so no
+    relation between those values, such as a vanishing fourth difference
+    or fourth derivative, holds for the stand-in alone.
+    """
+    uses: dict[str, tuple[int, set, int]] = {}
+    for node in nodes:
+        nargs, tuples, k = uses.get(node.base_name, (len(node.args), set(), 0))
+        tuples.add(node.args)
+        uses[node.base_name] = (nargs, tuples, max(k, sum(node.deriv_orders)))
+    out = {}
+    for name, (nargs, tuples, k) in sorted(uses.items()):
         params = sp.symbols(f"_p_{name}_0:{nargs}")
-        if nargs == 1:
-            params = (params[0],)
-        mono = [sp.Integer(1)] + list(params)
-        mono += [a * b for a in params for b in params]
-        mono += [a * a * b for a in params for b in params]
-        expr = sp.Add(*[_random_rational(rng) * m for m in mono])
-        proxies.append((name, params, expr))
-    return proxies
+        d = max(3, len(tuples) * (k + 1) - 1)
+        mono = [sp.Mul(*c) for n in range(d + 1)
+                for c in combinations_with_replacement(params, n)]
+        out[name] = (params, sp.Add(*[_random_rational(rng) * m for m in mono]))
+    return out
+
+
+def _draw_point(symbols, rng: random.Random) -> dict[Symbol, Rational]:
+    # name order, so that the point does not depend on the hash seed
+    syms = sorted(symbols, key=lambda s: (s.name, sp.default_sort_key(s)))
+    return {s: _random_rational(rng) for s in syms}
+
+
+def _rational_kernels(form: _RingForm) -> dict[Symbol, sp.Expr] | None:
+    """{kernel symbol: formal kernel} when every generator of ``form``
+    takes a rational value at a rational point and no kernel relation was
+    reduced, else None. Such generators are plain symbols (jets, t, x,
+    parameters) and formal functions whose arguments hold no kernel."""
+    if form.reduced:
+        return None
+    kernels = {s: k for k, s in form.table.items()}
+    out = {}
+    for g in form.gens:
+        k = kernels.get(g)
+        if k is None and g.is_Symbol:
+            continue
+        if not is_formal(k) or any(
+                not leaf.is_Symbol or leaf in kernels
+                for a in k.args for leaf in _ring_leaves(a, set())):
+            return None
+        out[g] = k
+    return out
+
+
+def _evaluate(p, values: list):
+    """The ring element p at ``values``, one per generator, over QQ."""
+    total = QQ.zero
+    for monom, coeff in p.items():
+        for v, n in zip(values, monom):
+            if n:
+                coeff *= v**n
+        total += coeff
+    return total
+
+
+def _exact_verdict(e: sp.Expr, seed: int = _SEED) -> ZeroVerdict | None:
+    """Stage 1 of :func:`is_zero`, with its exact refutation.
+
+    A deterministic zero when the ring numerator vanishes. Otherwise,
+    when every generator is rational at a rational point, the numerator
+    and the denominator bases are evaluated exactly over QQ at a random
+    point, with the stand-ins of stage 2 for formal functions: a nonzero
+    value is returned as the witness of a ``nonzero`` verdict. A vanishing
+    base redraws the point and stand-ins, up to ``_MAX_RESAMPLES`` times.
+    None leaves the decision to stage 2: a generator such as an exp,
+    root or Integral kernel has no rational value, and a numerator that
+    vanishes at the point proves nothing.
+    """
+    form = _stage1(e)
+    if form is None:
+        return ZeroVerdict(True, "deterministic", expr=e)
+    kernels = _rational_kernels(form)
+    if kernels is None:
+        return None
+    # the free symbols of e: the plain generators and the kernels' arguments
+    symbols = {g for g in form.gens if g not in kernels}.union(
+        *(k.free_symbols for k in kernels.values()))
+    rng = random.Random(seed)
+    for attempt in range(1, _MAX_RESAMPLES + 1):
+        stand_ins = _stand_ins(kernels.values(), rng)
+        point = _draw_point(symbols, rng)
+        at_point = _bind(sp.Tuple(*kernels.values()).xreplace(point), stand_ins)
+        bound = dict(zip(kernels, at_point))
+        values = [bound[g] if g in kernels else point[g] for g in form.gens]
+        if not all(v.is_Rational for v in values):
+            continue  # a pole in the argument of a formal function
+        values = [QQ(v.p, v.q) for v in values]
+        den = [(_evaluate(b, values), p) for b, p in form.den.items()]
+        if not all(b for b, _ in den):
+            continue
+        value = _evaluate(form.num, values)
+        if not value:
+            return None
+        for b, p in den:
+            value /= b**p
+        witness = abs(Rational(int(value.numerator), int(value.denominator)))
+        return ZeroVerdict(False, "nonzero", witness, attempt, e)
+    return None
+
+
+def _integrate_polynomials(e: sp.Expr) -> sp.Expr:
+    """e with every integral of a polynomial integrand replaced by its
+    exact value, innermost first, so that an integral whose integrand
+    becomes a polynomial is taken too. Bound stand-ins make many
+    integrands polynomial, and a polynomial's antiderivative is one more
+    polynomial: nothing is integrated symbolically beyond that."""
+    def polynomial(node):
+        return (isinstance(node, sp.Integral) and len(node.limits) == 1
+                and node.function.is_polynomial(node.limits[0][0]))
+
+    def value(node):
+        (var, lo, hi), = node.limits
+        antiderivative = sp.Poly(node.function, var).integrate().as_expr()
+        return antiderivative.xreplace({var: hi}) - antiderivative.xreplace({var: lo})
+
+    return e.replace(polynomial, value)
 
 
 def _numeric_probe(e: sp.Expr, rng: random.Random, dps=40):
@@ -940,27 +1104,31 @@ def _numeric_probe(e: sp.Expr, rng: random.Random, dps=40):
     bad sample (a pole, a non-finite or non-numeric value, a failed
     quadrature).
 
-    Each formal function is bound to its cubic stand-in; its partials
-    become derivatives of the cubic, so nothing is left to evaluate
-    symbolically and no Integral is integrated. Without integrals the
-    point is substituted exactly and the result rounded once; with them
-    the expression is compiled to mpmath and each integral is a
-    quadrature. A function that is not formal keeps the value
-    non-numeric, so every sample is rejected.
+    Each formal function is bound to its polynomial stand-in; its partials
+    become derivatives of the polynomial, so nothing is left to evaluate
+    symbolically. Without integrals the point is substituted exactly
+    first, the stand-ins are bound at its rational arguments, and the
+    result is rounded once. With them the stand-ins are bound first, an
+    integral of a polynomial becomes its exact value, and what integrals
+    remain are compiled to mpmath, each a quadrature. A function that is
+    not formal keeps the value non-numeric, so every sample is rejected.
     """
-    probe = e
-    for name, params, expr in _proxy_env(e, rng):
-        probe = bind_formal(probe, name, params, expr)
-    # name order, so that the point does not depend on the hash seed
-    syms = sorted(probe.free_symbols, key=lambda s: (s.name, sp.default_sort_key(s)))
-    point = {s: _random_rational(rng) for s in syms}
+    stand_ins = _stand_ins(e.atoms(FormalFunction), rng)
+    point = _draw_point(e.free_symbols, rng)
     try:
-        if probe.has(sp.Integral):
-            f = sp.lambdify(syms, probe, [{"quad": _gauss_legendre}, "mpmath"])
-            with mpmath.workdps(dps):
-                z = f(*(mpmath.mpf(point[s].p) / point[s].q for s in syms))
-                return sp.Float(mpmath.fabs(z), dps) if mpmath.isfinite(z) else None
-        val = probe.xreplace(point)
+        if not e.has(sp.Integral):
+            val = _bind(e.xreplace(point), stand_ins)
+        else:
+            # substituting the point first can leave integrands that
+            # neither print nor lambdify in reasonable time
+            probe = _integrate_polynomials(_bind(e, stand_ins))
+            if probe.has(sp.Integral):
+                syms = list(point)
+                f = sp.lambdify(syms, probe, [{"quad": _gauss_legendre}, "mpmath"])
+                with mpmath.workdps(dps):
+                    z = f(*(mpmath.mpf(point[s].p) / point[s].q for s in syms))
+                    return sp.Float(mpmath.fabs(z), dps) if mpmath.isfinite(z) else None
+            val = probe.xreplace(point)
         num = sp.N(val, dps)
     except (ZeroDivisionError, ValueError, TypeError, EvalError, NameError):
         # NameError: the compiled probe calls a function that is not formal
@@ -990,28 +1158,30 @@ def _gauss_legendre(f, *intervals):
     return value
 
 
-#: stage-2 points drawn, rejected ones included, before the test gives up
+#: points drawn, rejected ones included, before a stage gives up
 _MAX_RESAMPLES = 32
 
 #: a stage-2 sample above this magnitude refutes the claim
 _ZERO_BOUND = sp.Float("1e-20")
 
 
-def is_zero(e: sp.Expr, samples: int = 8, seed: int = 20260823) -> ZeroVerdict:
-    """Two-stage zero test.
+def is_zero(e: sp.Expr, samples: int = 8, seed: int = _SEED) -> ZeroVerdict:
+    """Two-stage zero test (see the module docstring).
 
-    Stage 1 is deterministic (the ring test of :func:`exact_zero`). Stage
-    2 evaluates at ``samples`` random rational points to 40 digits, with
-    random cubic stand-ins for formal functions and 40-digit quadrature
-    for formal integrals; nothing is integrated symbolically. A pole, a
-    non-finite value or a quadrature that misses its error bound rejects
-    the sample and draws another; too many bad samples raise
-    :class:`IndeterminateZeroTest`. The verdict's ``samples`` counts the
-    points drawn, rejected ones included.
+    Stage 1 is the ring test of :func:`exact_zero`, and refutes with an
+    exact witness where every generator has a rational value (see
+    :func:`_exact_verdict`). Stage 2 evaluates at ``samples`` random
+    rational points to 40 digits, with polynomial stand-ins for formal
+    functions. A pole, a non-finite value or a quadrature that misses its
+    error bound rejects the sample and draws another; too many bad
+    samples raise :class:`IndeterminateZeroTest`. The verdict's
+    ``samples`` counts the points drawn by the stage that decided,
+    rejected ones included.
     """
     e = sp.sympify(e)
-    if exact_zero(e):
-        return ZeroVerdict(True, "deterministic", expr=e)
+    verdict = _exact_verdict(e, seed)
+    if verdict is not None:
+        return verdict
     rng = random.Random(seed)
     good = 0
     attempts = 0

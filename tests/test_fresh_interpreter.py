@@ -66,3 +66,28 @@ def test_divergent_quadrature_prints_no_scipy_warning(tmp_path):
     assert proc.returncode == 1
     assert "no grid point could be evaluated" in proc.stderr
     assert "IntegrationWarning" not in proc.stderr
+
+
+def test_readme_commands_load_no_physics_units(tmp_path):
+    # sympy.physics.units costs a fifth of a second; sp.solve's solution
+    # check imports it, and so does every sp.simplify, which the Cauchy
+    # and transform commands still call
+    code = """
+import json, sys
+from jetquot import cli
+codes = [cli.main(argv) for argv in (
+    ["verify", "hunter-saxton"],
+    ["hs", "solve", "--g", "exp(w)", "--C", "0", "--t", "0:2.5:0.5", "--w=-4:0.9:0.1"],
+    ["catalog", "list"],
+    ["catalog", "solve", "ex3.3", "--g", "x", "--C", "t"],
+    ["catalog", "characteristics", "hunter-saxton", "--span", "0:1", "--step", "0.02"],
+    ["expr", "parse", "u_xt + u*u_xx"],
+    ["expr", "diff", "u_x^2", "x"],
+    ["expr", "zero", "(u+u_x)^2 - u^2 - 2*u*u_x - u_x^2"],
+)]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("sympy.physics"))]))
+"""
+    proc = python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    codes, physics = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * 8 and physics == []

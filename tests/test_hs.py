@@ -235,6 +235,19 @@ def test_fit_C_quadratic():
         assert abs(uv - xv**2) < 1e-10
 
 
+def test_polynomial_cauchy_data_never_call_solve(monkeypatch):
+    # the slope map is inverted as a Möbius map and the slice constant
+    # found by polynomial roots, in the order sp.solve lists them
+    def refuse(*args, **kwargs):
+        raise AssertionError("sp.solve called")
+
+    monkeypatch.setattr(sp, "solve", refuse)
+    assert cauchy_g(1, x**2) == 8 / (w**4 + 8 * w**3 + 24 * w**2 + 32 * w + 16)
+    branches = cauchy_g(1, x**3)
+    assert len(branches) == 2 and sp.simplify(branches[0] + branches[1]) == 0
+    assert fit_C(general_solution(8 / (2 + w) ** 4, 0), 1, x**2) == 0
+
+
 def test_fit_C_needs_a_closed_surface():
     with pytest.raises(CauchyError):
         fit_C(general_solution(G_EXP, 0), 1, sp.exp(-x))

@@ -8,6 +8,7 @@ value which cancels to all 40 digits is a zero sample.
 """
 
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -16,6 +17,8 @@ from pathlib import Path
 import pytest
 import sympy as sp
 import sympy.integrals.risch
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jetquot
 from jetquot import catalog, cli, symcore
@@ -126,3 +129,77 @@ def test_an_unresolved_zero_with_large_terms_is_not_a_refutation(seed):
 def test_expr_zero_confirms_a_trigonometric_identity(capsys):
     assert cli.main(["expr", "zero", "sin(x)^2+cos(x)^2-1"]) == 0
     assert "probabilistic" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# Stand-ins rich enough for every claim on them
+# ---------------------------------------------------------------------------
+
+u_x = symcore.jet(0, 1)
+FOOLED_BY_CUBICS = {
+    "g''''(t)": formal("g", 1, (4,))(t),
+    "fourth difference": sum(k * g(t + i) for i, k in enumerate((1, -4, 6, -4, 1))),
+    "f_123(t, x, u_x)": formal("f", 3, (1, 1, 1))(t, x, u_x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOOLED_BY_CUBICS))
+def test_stand_ins_refute_what_cubics_annihilate(name, monkeypatch):
+    # a cubic has no fourth derivative or difference, and the old cubic
+    # family of three arguments had no a*b*c monomial
+    e = FOOLED_BY_CUBICS[name]
+    verdict = is_zero(e)
+    assert not verdict.is_zero and verdict.mode == "nonzero"
+    monkeypatch.setattr(symcore, "_rational_kernels", lambda form: None)
+    for seed in (1, 2, 3):
+        verdict = is_zero(e, seed=seed)
+        assert verdict.mode == "nonzero" and isinstance(verdict.witness, sp.Float)
+
+
+def test_stand_in_degree_covers_points_and_derivatives():
+    nodes = [g(t), g(t + 1), formal("g", 1, (2,))(t + 2), formal("f", 3)(t, x, u_x)]
+    polys = {name: sp.Poly(poly, *params)
+             for name, (params, poly) in symcore._stand_ins(nodes, random.Random(0)).items()}
+    # g at three argument tuples with derivatives up to order 2: 3*3 - 1
+    assert polys["g"].total_degree() == 8
+    # f at one tuple, no derivative: the cubic floor, with every monomial
+    assert polys["f"].total_degree() == 3 and (1, 1, 1) in polys["f"].monoms()
+
+
+# ---------------------------------------------------------------------------
+# Point first: the stand-ins are bound at the point's rational arguments
+# ---------------------------------------------------------------------------
+
+f2 = formal("f", 2)
+_ARGS = [t, x, t + 1, 2 * x - t, t * x, 1 / (t - 1), (x + 1) / (t**2 + 1)]
+_ATOMS = ([g(a) for a in _ARGS] + [formal("g", 1, (k,))(a) for k in (1, 3) for a in _ARGS[:4]]
+          + [f2(p, q) for p, q in zip(_ARGS, _ARGS[1:])] + [formal("f", 2, (1, 2))(t, x), a, b])
+
+
+@st.composite
+def _formal_expressions(draw):
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeff = sp.Rational(draw(st.integers(-9, 9)), draw(st.integers(1, 5)))
+        factors = draw(st.lists(st.sampled_from(_ATOMS), min_size=1, max_size=3))
+        power = draw(st.sampled_from([1, 1, 2, -1]))
+        terms.append(coeff * sp.Mul(*factors) ** power)
+    return sp.Add(*terms)
+
+
+def _bind_first(e, rng, dps=40):
+    """The probe as it was: bind the stand-ins, then substitute the point."""
+    stand_ins = symcore._stand_ins(e.atoms(symcore.FormalFunction), rng)
+    point = symcore._draw_point(e.free_symbols, rng)
+    for name, (params, poly) in stand_ins.items():
+        e = symcore.bind_formal(e, name, params, poly)
+    value = e.xreplace(point)
+    if value.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
+        return None
+    return abs(sp.N(value, dps))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_formal_expressions(), st.integers(0, 2**32))
+def test_point_first_probe_equals_bind_first(e, seed):
+    assert symcore._numeric_probe(e, random.Random(seed)) == _bind_first(e, random.Random(seed))

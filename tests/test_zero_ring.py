@@ -18,8 +18,9 @@ from jetquot.pde import PdeManifold, check_symmetry
 from jetquot.symcore import (
     UndefinedExpressionError,
     _Kernelizer,
-    _kernel_rational_zero,
-    _ring_numerator,
+    _kernel_ring,
+    _ring_form,
+    bind_formal,
     exact_zero,
     is_zero,
     jet,
@@ -61,7 +62,7 @@ REDUCTIONS = {
 @pytest.mark.parametrize("name", sorted(REDUCTIONS))
 def test_in_ring_reductions_are_deterministic(name):
     e = REDUCTIONS[name]
-    assert _kernel_rational_zero(e)
+    assert not _kernel_ring(e).num
     assert is_zero(e).mode == "deterministic"
     perturbed = e + DELTA * x
     assert not exact_zero(perturbed)
@@ -72,14 +73,14 @@ def test_relations_are_needed_for_roots_and_exponents():
     for name in ("sqrt(x)**2 - x", "x**a*x - x**(a+1)", "(x+I)*(x-I) - x**2 - 1"):
         k = _Kernelizer()
         body = k.run(REDUCTIONS[name])
-        assert _ring_numerator(body, k.table, relations=False)
-        assert not _ring_numerator(body, k.table)
+        assert _ring_form(body, k.table, relations=False).num
+        assert not _ring_form(body, k.table).num
 
 
 def test_symbolic_exponents_are_combined_before_a_second_ring_pass():
     b = sp.Symbol("b")
     e = _unevaluated(x**a, x**b) - x ** (a + b)
-    assert not _kernel_rational_zero(e)
+    assert _kernel_ring(e).num
     assert exact_zero(e) and not exact_zero(e + DELTA * x)
 
 
@@ -102,12 +103,12 @@ def test_ex41_stages_need_the_exponent_relation(monkeypatch):
     def spy(e):
         k = _Kernelizer()
         body = k.run(e)
-        plain = not _ring_numerator(body, k.table, relations=False)
-        full = not _ring_numerator(body, k.table)
-        decided_by_relations.append(full and not plain)
-        return full
+        plain = not _ring_form(body, k.table, relations=False).num
+        form = _ring_form(body, k.table)
+        decided_by_relations.append(not form.num and not plain)
+        return form
 
-    monkeypatch.setattr(symcore, "_kernel_rational_zero", spy)
+    monkeypatch.setattr(symcore, "_kernel_ring", spy)
     report = catalog.verify_entry("ex4.1")
     assert all(s.verdict == "exact" for s in report.stages)
     assert any(decided_by_relations)
@@ -191,25 +192,117 @@ def test_quotient_solutions_are_decided_exactly(monkeypatch):
 
 
 def test_failing_quotient_claim_is_sampled_once(monkeypatch):
-    # an implicit twin Φ + δ·I reaches is_zero once, with its remainder
-    # modulo Φ, and is refuted there
+    # an implicit twin Φ + δ·I is refuted by one stage-1 pass over its
+    # remainder modulo Φ: one exact point, no is_zero, no stage 2
     from dataclasses import replace
 
     import jetquot.invariants as inv
 
-    modes = []
+    passes, calls = [], []
+    ring = symcore._kernel_ring
 
-    def counting(e, **kw):
-        modes.append(is_zero(e, **kw))
-        return modes[-1]
+    def counting(e):
+        passes.append(e)
+        return ring(e)
 
-    monkeypatch.setattr(inv, "is_zero", counting)
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached stage 2")
+
+    monkeypatch.setattr(symcore, "_kernel_ring", counting)
+    monkeypatch.setattr(symcore, "_numeric_probe", refuse)
+    monkeypatch.setattr(inv, "is_zero", lambda e, **kw: calls.append(e))
     e = catalog.get("hunter-saxton")
     spec = e.solutions[0]
     twin = replace(spec.solution, implicit=spec.solution.implicit + DELTA * inv.I_tok)
     verdict = inv.check_quotient_solution(spec.specialized_syzygy(e.syzygies), twin)
     assert not verdict.is_zero and verdict.mode == "nonzero"
-    assert len(modes) == 1
+    assert isinstance(verdict.witness, sp.Rational) and verdict.witness > 0
+    assert verdict.samples == 1
+    assert len(passes) == 1 and calls == []
+
+
+# ---------------------------------------------------------------------------
+# The exact witness: a refutation evaluated over QQ in stage 1
+# ---------------------------------------------------------------------------
+
+
+def _hs_generator_twin():
+    e = catalog.get("hunter-saxton")
+    X = e.gens[0]
+    return check_symmetry(VectorField(X.a, X.b, X.c + DELTA * t**2 * u**2), e.manifold).verdict
+
+
+def _burgers_syzygy_twin():
+    e = catalog.get("burgers-full")
+    twin = _first_syzygy_twin(e, random.Random(1))
+    return check_syzygy(twin, e.frame, e.higher_invariants(), e.manifold)
+
+
+def _ex31_quotient_twin():
+    from dataclasses import replace
+
+    from jetquot.invariants import I_tok, check_quotient_solution
+
+    e = catalog.get("ex3.1")
+    spec = e.solutions[0]
+    twin = replace(spec.solution, h=spec.solution.h + DELTA * I_tok)
+    return check_quotient_solution(spec.specialized_syzygy(e.syzygies), twin)
+
+
+def _replayed_value(verdict, seed=symcore._SEED):
+    """|expr| at the witness's point, recomputed in plain SymPy: the
+    stand-ins are bound into the expression, then the point substituted.
+    Bound variables are aligned first, as stage 1 aligns them, so that
+    integrals equal up to their bound variable cancel."""
+    e = symcore._canon_integral_dummies(verdict.expr)
+    rng = random.Random(seed)
+    for _ in range(verdict.samples):
+        stand_ins = symcore._stand_ins(e.atoms(symcore.FormalFunction), rng)
+        point = symcore._draw_point(e.free_symbols, rng)
+    for name, (params, poly) in stand_ins.items():
+        e = bind_formal(e, name, params, poly)
+    return abs(e.xreplace(point))
+
+
+@pytest.mark.parametrize("twin", [_hs_generator_twin, _burgers_syzygy_twin, _ex31_quotient_twin],
+                         ids=["hunter-saxton generator", "burgers-full syzygy", "ex3.1 quotient"])
+def test_twins_are_refuted_by_an_exact_witness(twin, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached stage 2")
+
+    monkeypatch.setattr(symcore, "_numeric_probe", refuse)
+    verdict = twin()
+    assert not verdict.is_zero and verdict.mode == "nonzero"
+    assert isinstance(verdict.witness, sp.Rational) and verdict.witness > 0
+    assert _replayed_value(verdict) == verdict.witness
+
+
+def test_a_vanishing_denominator_redraws_the_witness_point():
+    # a seed whose first point puts x at 0, where the base x vanishes
+    seed = next(s for s in range(10**4)
+                if symcore._draw_point({x}, random.Random(s))[x] == 0)
+    verdict = is_zero(1 / x + 1, seed=seed)
+    assert verdict.mode == "nonzero" and verdict.samples == 2
+    assert verdict.witness == _replayed_value(verdict, seed)
+
+
+g = symcore.formal("g")
+v = sp.Symbol("v")
+
+
+@pytest.mark.parametrize("e", [
+    sp.exp(x) * g(t) + u,
+    sp.sqrt(x) + g(t),
+    symcore.formal_integral(g(v), v, x) + u,
+], ids=["exp", "root", "integral"])
+def test_claims_without_rational_values_reach_stage2(e, monkeypatch):
+    probes = []
+    probe = symcore._numeric_probe
+    monkeypatch.setattr(symcore, "_numeric_probe",
+                        lambda e, rng: probes.append(e) or probe(e, rng))
+    verdict = is_zero(e)
+    assert verdict.mode == "nonzero" and isinstance(verdict.witness, sp.Float)
+    assert probes
 
 
 def test_failing_claim_certificate_is_the_normal_form(monkeypatch):
@@ -256,7 +349,7 @@ def _ring_and_oracle(e):
     """(ring verdict, Expr verdict) on the same kernelized body, no relations."""
     k = _Kernelizer()
     body = k.run(e)
-    ring_zero = not _ring_numerator(body, k.table, relations=False)
+    ring_zero = not _ring_form(body, k.table, relations=False).num
     return ring_zero, sp.cancel(sp.together(body)) == 0
 
 
@@ -281,7 +374,7 @@ def test_ring_matches_expr_normal_form_over_the_catalog(monkeypatch):
     from jetquot.jetcalc import apply_prolonged
 
     seen = []
-    original = symcore._kernel_rational_zero
+    original = symcore._kernel_ring
 
     def differential(e):
         ring_zero, expr_zero = _ring_and_oracle(e)
@@ -289,7 +382,7 @@ def test_ring_matches_expr_normal_form_over_the_catalog(monkeypatch):
         assert ring_zero == expr_zero, e
         return original(e)
 
-    monkeypatch.setattr(symcore, "_kernel_rational_zero", differential)
+    monkeypatch.setattr(symcore, "_kernel_ring", differential)
     for name in catalog.names():
         assert catalog.verify_entry(name).passed
     assert len(seen) > 20
