@@ -1124,7 +1124,8 @@ def _numeric_probe(e: sp.Expr, rng: random.Random, dps=40):
             probe = _integrate_polynomials(_bind(e, stand_ins))
             if probe.has(sp.Integral):
                 syms = list(point)
-                f = sp.lambdify(syms, probe, [{"quad": _gauss_legendre}, "mpmath"])
+                f = sp.lambdify(syms, probe, [{"quad": _gauss_legendre}, "mpmath"],
+                                docstring_limit=0)  # no docstring: it would print probe again
                 with mpmath.workdps(dps):
                     z = f(*(mpmath.mpf(point[s].p) / point[s].q for s in syms))
                     return sp.Float(mpmath.fabs(z), dps) if mpmath.isfinite(z) else None
