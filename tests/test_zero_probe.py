@@ -1,10 +1,13 @@
 """Stage 2 of is_zero: random evaluation at 40 digits.
 
 Covers that the sample point does not depend on the hash seed, that
-formal integrals are evaluated by quadrature and never integrated
-symbolically, that quadrature neither hides a nonzero value nor turns a
-divergent integral into a verdict, the resample count, and that a
-value which cancels to all 40 digits is a zero sample.
+formal integrals are evaluated by quadrature, or exactly when the
+integrand is a polynomial, and never integrated symbolically otherwise,
+that quadrature neither hides a nonzero value nor turns a divergent
+integral into a verdict, the resample count, that a value which cancels
+to all 40 digits is a zero sample, that the polynomial stand-ins are
+rich enough for the claims made on them, and that substituting the
+point before binding them gives the value binding first gives.
 """
 
 import os
@@ -90,6 +93,24 @@ def test_quadrature_keeps_the_verdict_sound(seed):
         is_zero(formal_integral(1 / v, v, I_tok), seed=seed)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_quadrature_decides_a_non_polynomial_integrand(seed, monkeypatch):
+    # with g bound to a polynomial, SCALED's integrals are taken exactly;
+    # dividing by 1 + v**2 keeps this twin of it on the quadrature path
+    def f(z):
+        return g(z) / (1 + z**2)
+
+    quadratures = []
+    gauss_legendre = symcore._gauss_legendre
+    monkeypatch.setattr(symcore, "_gauss_legendre",
+                        lambda *args: quadratures.append(args) or gauss_legendre(*args))
+    scaled = formal_integral(f(v), v, I_tok) - I_tok * formal_integral(f(I_tok * s), s, 1)
+    zero = is_zero(scaled, seed=seed)
+    assert zero.is_zero and zero.mode == "probabilistic" and quadratures
+    nonzero = is_zero(scaled + I_tok / 10**6, seed=seed)
+    assert not nonzero.is_zero and nonzero.mode == "nonzero"
+
+
 def test_samples_count_rejected_points(monkeypatch):
     assert is_zero((a + b)**2 - a**2 - 2*a*b - b**2).samples == 0
     probe = symcore._numeric_probe
@@ -145,8 +166,8 @@ FOOLED_BY_CUBICS = {
 
 @pytest.mark.parametrize("name", sorted(FOOLED_BY_CUBICS))
 def test_stand_ins_refute_what_cubics_annihilate(name, monkeypatch):
-    # a cubic has no fourth derivative or difference, and the old cubic
-    # family of three arguments had no a*b*c monomial
+    # a cubic has no fourth derivative or difference, and a cubic without
+    # the a*b*c monomial has no mixed partial f_123
     e = FOOLED_BY_CUBICS[name]
     verdict = is_zero(e)
     assert not verdict.is_zero and verdict.mode == "nonzero"
