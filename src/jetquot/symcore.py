@@ -251,10 +251,11 @@ def _bind(e: sp.Expr, bindings: Mapping[str, tuple[tuple, sp.Expr]]) -> sp.Expr:
         key = (node.base_name, node.deriv_orders)
         d = partials.get(key)
         if d is None:
-            d = expr
-            for p, o in zip(params, node.deriv_orders):
-                if o:
-                    d = sp.diff(d, p, o)
+            orders = [(p, o) for p, o in zip(params, node.deriv_orders) if o]
+            if isinstance(expr, sp.Poly):  # a stand-in
+                d = (expr.diff(*orders) if orders else expr).as_expr()
+            else:
+                d = expr.diff(*orders) if orders else expr
             partials[key] = d
         return d.xreplace(dict(zip(params, node.args)))
 
@@ -971,10 +972,11 @@ def _random_rational(rng: random.Random) -> Rational:
     return Rational(num, den)
 
 
-def _stand_ins(nodes, rng: random.Random) -> dict[str, tuple[tuple, sp.Expr]]:
+def _stand_ins(nodes, rng: random.Random) -> dict[str, tuple[tuple, sp.Poly]]:
     """A random polynomial stand-in ``{name: (params, poly)}`` for every
     formal function applied in ``nodes``, the formal applications of an
-    expression, ready for :func:`_bind`.
+    expression, ready for :func:`_bind`, which differentiates a ``Poly``
+    term by term instead of through ``Derivative``.
 
     A function applied at m distinct argument tuples, with partials of
     total order up to k, gets every monomial of total degree at most
@@ -994,7 +996,7 @@ def _stand_ins(nodes, rng: random.Random) -> dict[str, tuple[tuple, sp.Expr]]:
         d = max(3, len(tuples) * (k + 1) - 1)
         mono = [sp.Mul(*c) for n in range(d + 1)
                 for c in combinations_with_replacement(params, n)]
-        out[name] = (params, sp.Add(*[_random_rational(rng) * m for m in mono]))
+        out[name] = (params, sp.Poly(sp.Add(*[_random_rational(rng) * m for m in mono]), *params))
     return out
 
 
