@@ -26,6 +26,7 @@ from .symcore import (
     _exact_verdict,
     _ring_leaves,
     _RingWalk,
+    differentiate,
     exact_zero,
     is_zero,
     normalize,
@@ -214,15 +215,15 @@ class QuotientSolution:
         if self.h is not None:
             h = sp.sympify(self.h)
             return {
-                Symbol(f"{b}_I"): h.diff(I_tok),
-                Symbol(f"{b}_J"): h.diff(J_tok),
+                Symbol(f"{b}_I"): differentiate(h, I_tok),
+                Symbol(f"{b}_J"): differentiate(h, J_tok),
                 self.base: h,
             }
         phi = sp.sympify(self.implicit)
-        dH = phi.diff(self.base)
+        dH = differentiate(phi, self.base)
         return {
-            Symbol(f"{b}_I"): -phi.diff(I_tok) / dH,
-            Symbol(f"{b}_J"): -phi.diff(J_tok) / dH,
+            Symbol(f"{b}_I"): -differentiate(phi, I_tok) / dH,
+            Symbol(f"{b}_J"): -differentiate(phi, J_tok) / dH,
         }
 
 

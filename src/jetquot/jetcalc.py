@@ -2,6 +2,12 @@
 
 Total derivatives, contact forms on J^k and prolongation of point
 vector fields to jet space.
+
+D_t, D_x and a prolonged field are derivations, fixed by their values on
+the symbols (t, x, the jets u_σ). Each is applied to an expression in one
+memoized walk, ``symcore._derivation``: every distinct subtree is
+differentiated once, formal functions follow the chain rule and formal
+integrals the Leibniz rule.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from dataclasses import dataclass, field
 
 import sympy as sp
 
-from .symcore import JetVar, SymcoreError, jet, jets_in, max_jet_order, t, x
+from .symcore import JetVar, SymcoreError, _derivation, jet, jet_orders, max_jet_order, t, x
 
 DEFAULT_ORDER_CAP = 8
 
@@ -23,20 +29,27 @@ def total_derivative(e: sp.Expr, direction: str, cap: int = DEFAULT_ORDER_CAP) -
     """Total derivative D_t or D_x of a jet expression.
 
     D_t = ∂_t + u_t ∂_u + u_tt ∂_{u_t} + u_tx ∂_{u_x} + ...
+
+    One derivation walk over e (see ``symcore._derivation``) with
+    D_t(t) = 1 and D_t(u_σ) = u_{σt}.
     """
     if direction not in ("t", "x"):
         raise SymcoreError(f"direction must be 't' or 'x', not {direction!r}")
-    e = sp.sympify(e)
     dt, dx = (1, 0) if direction == "t" else (0, 1)
     base = t if direction == "t" else x
-    out = e.diff(base)
-    for sym, (i, j) in jets_in(e).items():
+
+    def leaf(sym):
+        if sym == base:
+            return sp.S.One
+        ij = jet_orders(sym)
+        if ij is None:
+            return sp.S.Zero
+        i, j = ij
         if i + j + 1 > cap:
-            raise OrderCapError(
-                f"total derivative of {sym} exceeds jet order cap {cap}"
-            )
-        out += jet(i + dt, j + dx) * e.diff(sym)
-    return out
+            raise OrderCapError(f"total derivative of {sym} exceeds jet order cap {cap}")
+        return jet(i + dt, j + dx)
+
+    return _derivation(sp.sympify(e), leaf)
 
 
 def Dt(e: sp.Expr, cap: int = DEFAULT_ORDER_CAP) -> sp.Expr:
@@ -109,17 +122,24 @@ class ProlongedField:
         return ProlongedField(self.field, k, kept)
 
     def apply(self, e: sp.Expr) -> sp.Expr:
-        """Directional derivative of e along the prolonged field."""
-        e = sp.sympify(e)
-        out = self.field.a * e.diff(t) + self.field.b * e.diff(x)
-        for sym, (i, j) in jets_in(e).items():
-            v = JetVar(i, j)
+        """Directional derivative of e along the prolonged field: one
+        derivation walk with t → a, x → b and u_σ → φ^σ."""
+        images = {t: self.field.a, x: self.field.b}
+
+        def leaf(sym):
+            if sym in images:
+                return images[sym]
+            ij = jet_orders(sym)
+            if ij is None:
+                return sp.S.Zero
+            v = JetVar(*ij)
             if v.order > self.order:
                 raise OrderCapError(
                     f"{sym} has order {v.order} > prolongation order {self.order}"
                 )
-            out += self.coeffs[v] * e.diff(sym)
-        return out
+            return self.coeffs[v]
+
+        return _derivation(sp.sympify(e), leaf)
 
 
 def prolong(X: VectorField, k: int, cap: int = DEFAULT_ORDER_CAP) -> ProlongedField:

@@ -18,6 +18,7 @@ from .symcore import (
     JetVar,
     SymcoreError,
     ZeroVerdict,
+    differentiate,
     formal,
     is_zero,
     jets_in,
@@ -71,7 +72,7 @@ class PdeManifold:
         self.principal = principal
         self.cap = cap
         p = principal.symbol
-        coeff = self.F.diff(p)
+        coeff = differentiate(self.F, p)
         if coeff == 0:
             raise RestrictionError(f"{p} does not occur in F")
         if p in coeff.free_symbols:
@@ -198,11 +199,16 @@ def solution_residual(F: sp.Expr, u_expr: sp.Expr) -> sp.Expr:
     to 0.
     """
     F = sp.sympify(F)
-    u_expr = sp.sympify(u_expr)
-    subs = {}
-    for sym, (i, j) in jets_in(F).items():
-        subs[sym] = sp.diff(u_expr, t, i, x, j)
-    return F.xreplace(subs)
+    partials = {(0, 0): sp.sympify(u_expr)}
+
+    def partial(i, j):
+        # ∂_t^i ∂_x^j u from its lower neighbour, the t derivatives first
+        if (i, j) not in partials:
+            partials[(i, j)] = (differentiate(partial(i, j - 1), x) if j
+                                else differentiate(partial(i - 1, 0), t))
+        return partials[(i, j)]
+
+    return F.xreplace({sym: partial(i, j) for sym, (i, j) in jets_in(F).items()})
 
 
 def substitute_coefficients(equations: list[sp.Expr], a: sp.Expr, b: sp.Expr,

@@ -43,11 +43,12 @@ from __future__ import annotations
 
 import builtins
 import math
+import operator
 import random
 import re
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations_with_replacement
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -177,8 +178,9 @@ class FormalFunction(sp.Function):
 
     Differentiation produces another FormalFunction class whose
     ``deriv_orders`` multi-index is bumped in the corresponding slot,
-    so the chain rule works through sympy's ``diff`` without ever
-    creating ``Derivative``/``Subs`` wrappers.
+    so the chain rule works through ``fdiff`` (in :func:`differentiate`
+    and sympy's ``diff`` alike) without ever creating
+    ``Derivative``/``Subs`` wrappers.
     """
 
     base_name: str = ""
@@ -483,12 +485,103 @@ def differentiate(e: sp.Expr, a: Symbol) -> sp.Expr:
     """Partial derivative with respect to one atom.
 
     Every other atom is held constant; formal functions follow the chain
-    rule and formal integrals differentiate under the integral sign /
-    through the upper bound.
+    rule and formal integrals follow the Leibniz rule (under the integral
+    sign and through the bounds). This is the one-atom case of the
+    derivation walk behind every total derivative and prolongation.
     """
     if not isinstance(a, Symbol):
         raise SymcoreError(f"can only differentiate with respect to an atom, not {a}")
-    return sp.diff(sp.sympify(e), a)
+    return _derivation(sp.sympify(e), lambda s: sp.S.One if s == a else sp.S.Zero)
+
+
+def _is_nonzero(d: sp.Expr) -> bool:
+    return not (d.is_Number and d.is_zero)
+
+
+def _own_chain_rule(f: sp.Function) -> bool:
+    """f differentiates through ``fdiff`` alone (formal functions, exp,
+    log, atanh, ...), not through a ``_eval_derivative`` of its own."""
+    cls = type(f)
+    return (cls._eval_derivative is sp.Function._eval_derivative
+            and cls.fdiff is not sp.Function.fdiff)
+
+
+def _derivation(e: sp.Expr, leaf: Callable[[Symbol], sp.Expr]) -> sp.Expr:
+    """The derivation D with D(s) = leaf(s) for every symbol s, applied to e.
+
+    One post-order walk: every distinct subtree is differentiated once
+    (memoized by node) and ``leaf`` is consulted once per distinct symbol.
+    The rules are SymPy's own (product rule over the factors, the power
+    rule n·(D(p)·log b + p·D(b)/b), the chain rule through ``fdiff``), so
+    the result has the shapes ``Expr.diff`` gives. A formal integral
+    follows the Leibniz rule: D(hi)·f(hi) − D(lo)·f(lo) plus
+    Σ D(s)·∫ ∂f/∂s over the free symbols s of the integrand f, so its
+    integral kernels are those of the partial derivatives. Any other node
+    (``floor``, ``sign``, ``re``, ``Piecewise``, ...) falls back to
+    Σ D(s)·∂n/∂s over its free symbols.
+    """
+    memo: dict[sp.Expr, sp.Expr] = {}
+
+    def D(n: sp.Expr) -> sp.Expr:
+        d = memo.get(n)
+        if d is None:
+            d = memo[n] = rule(n)
+        return d
+
+    def rule(n: sp.Expr) -> sp.Expr:
+        if n.is_Symbol:
+            return sp.sympify(leaf(n))
+        if n.is_Number or n.is_NumberSymbol or n is sp.I:
+            return sp.S.Zero
+        if n.is_Add:
+            return sp.Add(*[D(a) for a in n.args])
+        if n.is_Mul:
+            args = list(n.args)
+            terms = []
+            for i, a in enumerate(args):
+                d = D(a)
+                if _is_nonzero(d):
+                    terms.append(reduce(operator.mul, args[:i] + [d] + args[i + 1:], sp.S.One))
+            return sp.Add(*terms)
+        if n.is_Pow:
+            b, p = n.args
+            db, dp = D(b), D(p)
+            out = dp * sp.log(b) if _is_nonzero(dp) else sp.S.Zero
+            if _is_nonzero(db):
+                out += db * p / b
+            return n * out if _is_nonzero(out) else sp.S.Zero
+        if isinstance(n, sp.Function) and _own_chain_rule(n):
+            terms = []
+            for k, a in enumerate(n.args, 1):
+                d = D(a)
+                if _is_nonzero(d):
+                    terms.append(n.fdiff(k) * d)
+            return sp.Add(*terms)
+        if isinstance(n, sp.Integral) and all(len(lim) == 3 for lim in n.limits):
+            return leibniz(n)
+        return sp.Add(*[D(s) * n.diff(s) for s in _free_sorted(n) if _is_nonzero(D(s))])
+
+    def leibniz(n: sp.Integral) -> sp.Expr:
+        # the outermost limit (v, lo, hi); any inner limits stay on f
+        (v, lo, hi), inner = n.limits[-1], n.limits[:-1]
+        f = n.func(n.function, *inner) if inner else n.function
+        out = sp.S.Zero
+        for end, sign in ((hi, 1), (lo, -1)):
+            d = D(end)
+            if _is_nonzero(d):
+                out += sign * f.subs(v, end) * d
+        for s in _free_sorted(f):
+            if s != v and _is_nonzero(D(s)):
+                df = differentiate(f, s)
+                if _is_nonzero(df):
+                    out += D(s) * n.func(df, (v, lo, hi))
+        return out
+
+    return D(e)
+
+
+def _free_sorted(e: sp.Expr) -> list[Symbol]:
+    return sorted(e.free_symbols, key=sp.default_sort_key)
 
 
 def substitute(e: sp.Expr, bindings: Mapping) -> sp.Expr:
@@ -1090,13 +1183,18 @@ def _integrate_polynomials(e: sp.Expr) -> sp.Expr:
     integrands polynomial, and a polynomial's antiderivative is one more
     polynomial: nothing is integrated symbolically beyond that."""
     def polynomial(node):
-        return (isinstance(node, sp.Integral) and len(node.limits) == 1
+        return (isinstance(node, sp.Integral)
                 and node.function.is_polynomial(node.limits[0][0]))
 
     def value(node):
-        (var, lo, hi), = node.limits
+        # a nested integral is one Integral with its innermost limit first
+        (var, lo, hi), outer = node.limits[0], node.limits[1:]
         antiderivative = sp.Poly(node.function, var).integrate().as_expr()
-        return antiderivative.xreplace({var: hi}) - antiderivative.xreplace({var: lo})
+        inner = antiderivative.xreplace({var: hi}) - antiderivative.xreplace({var: lo})
+        if not outer:
+            return inner
+        rest = node.func(inner, *outer)
+        return value(rest) if polynomial(rest) else rest
 
     return e.replace(polynomial, value)
 

@@ -247,6 +247,30 @@ def test_expr_diff_total_and_partial(capsys):
     assert out.strip() == "u_x"
 
 
+@pytest.mark.parametrize("argv, printed", [
+    (("int(g(v)*u, v, 0, u_x) + u_x^2", "t"),
+     "u*u_tx*g(u_x) + u_t*Integral(g(v), (v, 0, u_x)) + 2*u_tx*u_x"),
+    (("int(exp(v)*g(v)*u_x, v, 0, u_x*u) + int(int(g(s)*u, s, 0, v), v, 0, u_t)", "x"),
+     "u*u_x*u_xx*exp(u*u_x)*g(u*u_x) + u_tx*Integral(u*g(s), (s, 0, u_t))"
+     " + u_x**3*exp(u*u_x)*g(u*u_x) + u_x*Integral(g(s), (s, 0, v), (v, 0, u_t))"
+     " + u_xx*Integral(exp(v)*g(v), (v, 0, u*u_x))"),
+    (("u_x^A*u + A^u + sqrt(u_x)/u^(1/3)", "x"),
+     "(6*A*u**3*u_x**A*u_xx + 6*A**u*u**2*u_x**2*log(A) + 3*u**(5/3)*sqrt(u_x)*u_xx"
+     " - 2*u**(2/3)*u_x**(5/2) + 6*u**2*u_x**2*u_x**A)/(6*u**2*u_x)"),
+    (("u_x^A*u + A^u", "u_x", "--partial"), "A*u*u_x**A/u_x"),
+    (("f(u, u_x, u)*g(u_x) + f(t, x, u)", "t"),
+     "u_t*f_1(u, u_x, u)*g(u_x) + u_t*f_3(t, x, u) + u_t*f_3(u, u_x, u)*g(u_x)"
+     " + u_tx*f(u, u_x, u)*g'(u_x) + u_tx*f_2(u, u_x, u)*g(u_x) + f_1(t, x, u)"),
+    (("f(u, u_x, u)*g(u_x) + f(t, x, u)", "u", "--partial"),
+     "f_1(u, u_x, u)*g(u_x) + f_3(t, x, u) + f_3(u, u_x, u)*g(u_x)"),
+], ids=["integral bound", "nested integral", "symbolic power", "symbolic power partial",
+        "formal function", "formal function partial"])
+def test_expr_diff_prints_the_same_normal_form(capsys, argv, printed):
+    code, out, _ = run(capsys, "expr", "diff", *argv)
+    assert code == 0
+    assert out == printed + "\n"
+
+
 def test_expr_zero(capsys):
     code, out, _ = run(capsys, "expr", "zero", "(u+u_x)^2 - u^2 - 2*u*u_x - u_x^2")
     assert code == 0
