@@ -36,7 +36,6 @@ from .jetcalc import (
     total_derivative,
 )
 from .pde import (
-    GenericityCondition,
     PdeManifold,
     SymmetryVerdict,
     check_symmetry,

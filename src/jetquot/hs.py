@@ -239,9 +239,6 @@ class ResidualReport:
     evaluated: int
     excluded: list[tuple[float, float]]
 
-    def __float__(self):
-        return self.max_residual
-
 
 def residual(sol: ParamSolution, grid, h: float = 1e-5,
              jacobian_floor: float = 1e-8, method: str = "auto") -> ResidualReport:

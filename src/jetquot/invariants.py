@@ -23,13 +23,11 @@ from .pde import PdeManifold
 from .symcore import (
     SymcoreError,
     ZeroVerdict,
-    _exact_verdict,
     _ring_leaves,
     _RingWalk,
     differentiate,
     exact_zero,
     is_zero,
-    normalize,
 )
 
 # Token symbols for writing syzygies. First-order derivative tokens are
@@ -37,10 +35,6 @@ from .symcore import (
 I_tok, J_tok, H_tok, K_tok = sp.symbols("I J H K")
 
 _DERIV_TOKEN = re.compile(r"^([A-Z])_([IJ]{1,2})$")
-
-
-def token(name: str) -> Symbol:
-    return Symbol(name)
 
 
 def _split_token(s: Symbol) -> tuple[str, str] | None:
@@ -96,7 +90,6 @@ class TresseFrame:
         self.det = det
         self.d_I = InvariantDerivation(Jx / det, -Jt / det, M)
         self.d_J = InvariantDerivation(-Ix / det, It / det, M)
-        self.genericity = M.genericity.extended(det)
 
     def derivation(self, which: str) -> InvariantDerivation:
         if which == "I":
@@ -233,23 +226,14 @@ def check_quotient_solution(s: Syzygy, sol: QuotientSolution) -> ZeroVerdict:
     Works at the token level (functions of I, J and formal parameters),
     no jet realization involved. An implicit solution need annihilate the
     residual only modulo Φ = 0; when Φ is polynomial in the base token the
-    residual is replaced by its remainder modulo Φ. Stage 1 of the zero
-    test runs once on the residual and either proves it or refutes it
-    with an exact witness; only a claim it leaves open is normalized and
-    sampled.
+    residual is replaced by its remainder modulo Φ.
     """
     residual = s.lhs.xreplace(sol.token_substitution())
     phi = None if sol.implicit is None else sp.sympify(sol.implicit)
     if phi is not None and phi.is_polynomial(sol.base):
         num, _ = sp.fraction(sp.together(residual))
         _, residual = sp.div(sp.expand(num), sp.expand(phi), sol.base)
-    verdict = _exact_verdict(residual)
-    if verdict is not None:
-        return verdict
-    # the normal form preconditions stage 2: sampling the raw residual, a
-    # large unreduced rational function of I and J, takes about twice as
-    # long on refuted quotient claims
-    return is_zero(normalize(residual))
+    return is_zero(residual)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +245,6 @@ def check_quotient_solution(s: Syzygy, sol: QuotientSolution) -> ZeroVerdict:
 class DiscoveryResult:
     syzygies: list[Syzygy]
     spurious: list[sp.Expr] = field(default_factory=list)
-
-    def __iter__(self):
-        return iter(self.syzygies)
-
-    def __len__(self):
-        return len(self.syzygies)
 
 
 #: discovery samples and solves modulo _P1 and confirms each lifted

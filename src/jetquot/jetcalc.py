@@ -94,11 +94,6 @@ class VectorField:
         object.__setattr__(self, "b", sp.sympify(self.b))
         object.__setattr__(self, "c", sp.sympify(self.c))
 
-    def __mul__(self, scalar):
-        return VectorField(scalar * self.a, scalar * self.b, scalar * self.c)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class ProlongedField:

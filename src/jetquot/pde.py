@@ -37,19 +37,6 @@ class RestrictionError(SymcoreError):
     pass
 
 
-@dataclass(frozen=True)
-class GenericityCondition:
-    """Expressions required to be nonzero for a construction to be valid."""
-
-    nonvanishing: tuple[sp.Expr, ...]
-
-    def __iter__(self):
-        return iter(self.nonvanishing)
-
-    def extended(self, *extra) -> "GenericityCondition":
-        return GenericityCondition(self.nonvanishing + tuple(sp.sympify(e) for e in extra))
-
-
 class PdeManifold:
     """The equation manifold of F = 0 with a chosen principal derivative.
 
@@ -82,7 +69,6 @@ class PdeManifold:
             raise RestrictionError(f"could not solve F = 0 for {p}")
         self._rhs: dict[tuple[int, int], sp.Expr] = {}
         self._rhs[(0, 0)] = self.restrict(rhs)
-        self.genericity = GenericityCondition((coeff,) if not coeff.is_Number else ())
 
     def order(self) -> int:
         return max_jet_order(self.F)

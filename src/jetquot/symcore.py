@@ -19,24 +19,29 @@ the kernelized expression is walked into a sparse polynomial ring over
 QQ as numerator / product of primitive denominator factors. No gcd is
 taken, so the value is zero exactly when the numerator is; the root
 relations r**L = base and integer shifts between symbolic exponents are
-then reduced inside the ring. When the numerator is not zero and every
-generator is a symbol or a formal function of symbols, stage 1 also
-refutes: it evaluates numerator and denominator exactly over QQ at a
-random rational point, with a random polynomial stand-in for each formal
-function, and a nonzero value is an exact witness. Stage 2 is a
-probabilistic fallback that evaluates the expression to 40 digits at
-random rational points, with the same stand-ins: a formal function
-applied at m argument tuples with partials up to order k gets every
-monomial of total degree max(3, m(k+1) - 1), so no relation among those
-values holds for the stand-in alone. A formal integral of a polynomial
-integrand becomes its exact value; any other is computed by 40-digit
-Gauss-Legendre quadrature, never integrated symbolically. A quadrature
-that misses its error bound rejects the sample like a pole does, and
-another point is drawn; a SymPy function that is not formal has no
-stand-in, so its samples are all rejected and the test is
-indeterminate. :func:`normalize` is the separate, printable rational
-normal form; a verdict's ``residual`` calls it when the certificate of
-a claim that is not proved zero is first read.
+then reduced inside the ring. When the numerator is not zero, stage 2
+samples the same ring form, with the numerator as it was before those
+reductions: at a random rational point, with a random polynomial
+stand-in for each formal function, every generator of the numerator and
+the denominator bases takes its value. A symbol and a formal function
+at rational arguments take exact values, and when every value is exact
+the form is evaluated over QQ, so a nonzero value is an exact witness.
+Any other kernel (exp, log, a root, a symbolic power, an integral, pi)
+takes a 40-digit value with an error enclosure, and the form is
+evaluated in interval arithmetic: a numerator whose enclosure holds 0 is
+a zero sample. A formal function applied at m argument tuples with
+partials up to order k gets every monomial of total degree
+max(3, m(k+1) - 1), so no relation among those values holds for the
+stand-in alone. A formal integral of a polynomial integrand is taken
+exactly before it is rounded; any other is computed by 40-digit
+Gauss-Legendre quadrature, one limit at a time, never integrated
+symbolically. A pole, a vanishing
+denominator base, a complex value or a quadrature that misses its error
+bound rejects the sample, and another point is drawn; a SymPy function
+that is not formal has no stand-in, so its samples are all rejected and
+the test is indeterminate. :func:`normalize` is the separate, printable
+rational normal form; a verdict's ``residual`` calls it when the
+certificate of a claim that is not proved zero is first read.
 """
 
 from __future__ import annotations
@@ -54,10 +59,12 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import mpmath
 import sympy as sp
+from mpmath import iv
 from sympy import Rational, Symbol
 from sympy.core.function import AppliedUndef
 from sympy.polys.domains import QQ
 from sympy.polys.rings import ring
+from sympy.printing.pycode import MpmathPrinter
 
 t = Symbol("t")
 x = Symbol("x")
@@ -738,10 +745,13 @@ def _canon_integral_dummies(e: sp.Expr, depth: int = 0) -> sp.Expr:
         limits = []
         d = depth
         for var, *bounds in e.limits:
-            new = Symbol(f"_iv{d}")
+            rename = {var: Symbol(f"_iv{d}")}
             d += 1
-            func = func.xreplace({var: new})
-            limits.append(sp.Tuple(new, *[
+            func = func.xreplace(rename)
+            # limits are innermost first: the bounds before this one may
+            # hold its variable too
+            limits = [lim.xreplace(rename) for lim in limits]
+            limits.append(sp.Tuple(rename[var], *[
                 _canon_integral_dummies(b, d) for b in bounds
             ]))
         return sp.Integral(_canon_integral_dummies(func, d), *limits)
@@ -788,7 +798,7 @@ class ZeroVerdict:
     is_zero: bool
     mode: str  # "deterministic" | "probabilistic" | "nonzero"
     witness: object = None  # |value| at a point: exact Rational or 40-digit Float
-    samples: int = 0  # points drawn by the deciding stage, rejected ones included
+    samples: int = 0  # points drawn by stage 2, rejected ones included
     expr: sp.Expr = sp.S.Zero  # the expression judged
 
     def __bool__(self):
@@ -1008,15 +1018,16 @@ def _relation(kernel: sp.Expr, sym: Symbol, table: dict, exponents: dict):
 
 
 class _RingForm(NamedTuple):
-    """Stage 1's result: num / Π base**power in ``ring(gens, QQ)``, with
-    ``den`` as ``{base: power}``. When ``reduced``, kernel relations were
-    reduced in ``num`` and ``den`` is no longer its denominator."""
+    """Stage 1's result in ``ring(gens, QQ)``: the value is raw / Π
+    base**power, with ``den`` as ``{base: power}``, and ``num`` is
+    ``raw`` with the kernel relations reduced, so it is zero exactly when
+    the value is zero as a function of the kernels."""
 
     num: object
+    raw: object
     den: dict
     gens: list
     table: dict
-    reduced: bool
     symbolic_powers: bool = False  # a power with an exponent not a Rational
 
 
@@ -1047,12 +1058,13 @@ def _ring_form(body: sp.Expr, table: dict, relations: bool = True) -> _RingForm:
             raise UndefinedExpressionError(f"non-finite constant in {kernel}")
     gens = sorted(leaves, key=lambda a: (str(a), sp.default_sort_key(a)))
     walk = _RingWalk(gens)
-    num, den = walk(body)
+    raw, den = walk(body)
+    num = raw
     for sym, q, value in plan:
         if not num:
             break
         num = _reduce(num, gens.index(sym), q, walk(value))
-    return _RingForm(num, den, gens, table, bool(plan))
+    return _RingForm(num, raw, den, gens, table)
 
 
 #: the default seed of the zero test's random points and stand-ins
@@ -1099,81 +1111,111 @@ def _draw_point(symbols, rng: random.Random) -> dict[Symbol, Rational]:
     return {s: _random_rational(rng) for s in syms}
 
 
-def _rational_kernels(form: _RingForm) -> dict[Symbol, sp.Expr] | None:
-    """{kernel symbol: formal kernel} when every generator of ``form``
-    takes a rational value at a rational point and no kernel relation was
-    reduced, else None. Such generators are plain symbols (jets, t, x,
-    parameters) and formal functions whose arguments hold no kernel."""
-    if form.reduced:
-        return None
-    kernels = {s: k for k, s in form.table.items()}
-    out = {}
-    for g in form.gens:
-        k = kernels.get(g)
-        if k is None and g.is_Symbol:
-            continue
-        if not is_formal(k) or any(
-                not leaf.is_Symbol or leaf in kernels
-                for a in k.args for leaf in _ring_leaves(a, set())):
-            return None
-        out[g] = k
-    return out
-
-
-def _evaluate(p, values: list):
-    """The ring element p at ``values``, one per generator, over QQ."""
-    total = QQ.zero
+def _evaluate(p, values: list, lift=lambda c: c):
+    """The ring element p at ``values``, one per generator: over QQ, or
+    in interval arithmetic with ``lift`` taking each coefficient to an
+    interval."""
+    total = 0
     for monom, coeff in p.items():
+        term = lift(coeff)
         for v, n in zip(values, monom):
             if n:
-                coeff *= v**n
-        total += coeff
+                term *= v**n
+        total += term
     return total
 
 
-def _exact_verdict(e: sp.Expr, seed: int = _SEED) -> ZeroVerdict | None:
-    """Stage 1 of :func:`is_zero`, with its exact refutation.
+def _lift(c) -> iv.mpf:
+    return iv.mpf(int(c.numerator)) / int(c.denominator)
 
-    A deterministic zero when the ring numerator vanishes. Otherwise,
-    when every generator is rational at a rational point, the numerator
-    and the denominator bases are evaluated exactly over QQ at a random
-    point, with the stand-ins of stage 2 for formal functions: a nonzero
-    value is returned as the witness of a ``nonzero`` verdict. A vanishing
-    base redraws the point and stand-ins, up to ``_MAX_RESAMPLES`` times.
-    None leaves the decision to stage 2: a generator such as an exp,
-    root or Integral kernel has no rational value, and a numerator that
-    vanishes at the point proves nothing.
+
+def _interval(value: mpmath.mpf, radius: mpmath.mpf):
+    return iv.mpf([value - radius, value + radius])
+
+
+#: digits of every value that is not exact
+_DPS = 40
+
+
+def _radius(value: mpmath.mpf) -> mpmath.mpf:
+    """The error allowed a _DPS-digit value: relative above 1 and absolute
+    below, since evalf cannot tell a vanishing argument from a tiny one."""
+    return mpmath.mpf(10) ** (3 - _DPS) * max(1, abs(value))
+
+
+def _value(k: sp.Expr, stand_ins: dict, point: dict):
+    """The value of a generator's expression ``k`` at the point, with the
+    stand-ins bound. A symbol and a formal function at rational arguments
+    take an exact Rational, and the imaginary unit a complex interval; any
+    other kernel takes an interval around its real _DPS-digit value.
+    None means no real value: a pole, a complex value, a failed
+    quadrature, a function that is not formal, a stray symbol.
+
+    Without integrals the point is substituted first and the stand-ins
+    are bound at its rational arguments. With them the stand-ins are
+    bound first, an integral of a polynomial becomes its exact value, and
+    what integrals remain are computed by quadrature.
     """
-    form = _stage1(e)
-    if form is None:
-        return ZeroVerdict(True, "deterministic", expr=e)
-    kernels = _rational_kernels(form)
-    if kernels is None:
+    if k.is_Symbol:
+        return point.get(k)
+    if k is sp.I:
+        return iv.mpc(0, 1)
+    try:
+        if k.has(sp.Integral):
+            bound = _integrate_polynomials(_bind(k, stand_ins))
+            if bound.has(sp.Integral):
+                return _integral_value(bound, point)
+            value = bound.xreplace(point)
+        else:
+            value = _bind(k.xreplace(point), stand_ins)
+        if is_formal(k) and value.is_Rational:
+            return value
+        n = value.evalf(_DPS)
+    except (ZeroDivisionError, ValueError, TypeError, EvalError, NameError):
+        # NameError: compiled quadrature calls a function that is not formal
         return None
-    # the free symbols of e: the plain generators and the kernels' arguments
-    symbols = {g for g in form.gens if g not in kernels}.union(
-        *(k.free_symbols for k in kernels.values()))
-    rng = random.Random(seed)
-    for attempt in range(1, _MAX_RESAMPLES + 1):
-        stand_ins = _stand_ins(kernels.values(), rng)
-        point = _draw_point(symbols, rng)
-        at_point = _bind(sp.Tuple(*kernels.values()).xreplace(point), stand_ins)
-        bound = dict(zip(kernels, at_point))
-        values = [bound[g] if g in kernels else point[g] for g in form.gens]
-        if not all(v.is_Rational for v in values):
-            continue  # a pole in the argument of a formal function
-        values = [QQ(v.p, v.q) for v in values]
-        den = [(_evaluate(b, values), p) for b, p in form.den.items()]
-        if not all(b for b, _ in den):
-            continue
-        value = _evaluate(form.num, values)
-        if not value:
-            return None
-        for b, p in den:
-            value /= b**p
-        witness = abs(Rational(int(value.numerator), int(value.denominator)))
-        return ZeroVerdict(False, "nonzero", witness, attempt, e)
-    return None
+    if not n.is_Float:
+        return None
+    value = mpmath.mpf(n)
+    return _interval(value, _radius(value))
+
+
+class _QuadPrinter(MpmathPrinter):
+    """Prints an integral as nested ``quad`` calls, one per limit with the
+    innermost limit innermost, so that an inner bound may name an outer
+    variable."""
+
+    def _print_Integral(self, e):
+        out = self._print(e.function)
+        for var, lo, hi in e.limits:
+            out = f"quad(lambda {self._print(var)}: {out}, ({self._print(lo)}, {self._print(hi)}))"
+        return out
+
+
+def _integral_value(k: sp.Expr, point: dict):
+    """An interval around the value of k, which holds integrals, at the
+    point. Each integral is computed one limit at a time, an inner
+    quadrature at every node of the outer one. The radius is the
+    quadratures' own error bound: an inner quadrature's error counts once
+    per unit length of the interval outside it."""
+    errors = [mpmath.mpf(0)]  # the largest error inside each quadrature in progress
+
+    def quad(f, interval):
+        errors.append(mpmath.mpf(0))
+        value, error = _gauss_legendre(f, interval)
+        inner = errors.pop()
+        errors[-1] = max(errors[-1], error + inner * abs(interval[1] - interval[0]))
+        return value
+
+    syms = list(point)
+    printer = _QuadPrinter({"fully_qualified_modules": False, "inline": True,
+                            "allow_unknown_functions": True})
+    f = sp.lambdify(syms, k, [{"quad": quad}, "mpmath"], printer=printer,
+                    docstring_limit=0)  # no docstring: it would print k again
+    z = f(*(mpmath.mpf(point[s].p) / point[s].q for s in syms))
+    if not (isinstance(z, mpmath.mpf) and mpmath.isfinite(z)):
+        return None
+    return _interval(z, max(errors[0], _radius(z)))
 
 
 def _integrate_polynomials(e: sp.Expr) -> sp.Expr:
@@ -1199,106 +1241,96 @@ def _integrate_polynomials(e: sp.Expr) -> sp.Expr:
     return e.replace(polynomial, value)
 
 
-def _numeric_probe(e: sp.Expr, rng: random.Random, dps=40):
-    """|e| to ``dps`` digits at one random rational point; None signals a
-    bad sample (a pole, a non-finite or non-numeric value, a failed
-    quadrature).
-
-    Each formal function is bound to its polynomial stand-in; its partials
-    become derivatives of the polynomial, so nothing is left to evaluate
-    symbolically. Without integrals the point is substituted exactly
-    first, the stand-ins are bound at its rational arguments, and the
-    result is rounded once. With them the stand-ins are bound first, an
-    integral of a polynomial becomes its exact value, and what integrals
-    remain are compiled to mpmath, each a quadrature. A function that is
-    not formal keeps the value non-numeric, so every sample is rejected.
-    """
-    stand_ins = _stand_ins(e.atoms(FormalFunction), rng)
-    point = _draw_point(e.free_symbols, rng)
-    try:
-        if not e.has(sp.Integral):
-            val = _bind(e.xreplace(point), stand_ins)
-        else:
-            # substituting the point first can leave integrands that
-            # neither print nor lambdify in reasonable time
-            probe = _integrate_polynomials(_bind(e, stand_ins))
-            if probe.has(sp.Integral):
-                syms = list(point)
-                f = sp.lambdify(syms, probe, [{"quad": _gauss_legendre}, "mpmath"],
-                                docstring_limit=0)  # no docstring: it would print probe again
-                with mpmath.workdps(dps):
-                    z = f(*(mpmath.mpf(point[s].p) / point[s].q for s in syms))
-                    return sp.Float(mpmath.fabs(z), dps) if mpmath.isfinite(z) else None
-            val = probe.xreplace(point)
-        num = sp.N(val, dps)
-    except (ZeroDivisionError, ValueError, TypeError, EvalError, NameError):
-        # NameError: the compiled probe calls a function that is not formal
-        return None
-    if num.has(sp.zoo, sp.oo, -sp.oo, sp.nan):
-        return None
-    if num.is_Float and num._prec == 1:
-        # a 1-bit Float such as -0.e-172 is evalf's "zero to working
-        # precision"; its exponent is an error bound, which grows with the
-        # terms, so it is a zero sample only when that bound is small
-        return abs(num) if abs(num) <= _ZERO_BOUND else None
-    if not num.is_comparable:
-        num = sp.N(sp.Abs(val), dps)
-        if not num.is_comparable:
-            return None
-    return abs(num)
-
-
-def _gauss_legendre(f, *intervals):
-    """mpmath.quad of bounded degree; raises EvalError unless the error
-    estimate is within 10**-(dps-5) of max(1, |value|)."""
-    value, error = mpmath.quad(f, *intervals, method="gauss-legendre", error=True,
+def _gauss_legendre(f, interval):
+    """(value, error estimate) of mpmath.quad of bounded degree; raises
+    EvalError unless the estimate is within 10**-(dps-5) of max(1, |value|)."""
+    value, error = mpmath.quad(f, interval, method="gauss-legendre", error=True,
                                maxdegree=6)
     tol = mpmath.mpf(10) ** (5 - mpmath.mp.dps) * max(1, abs(value))
     if not (mpmath.isfinite(value) and error < tol):
         raise EvalError(f"quadrature failed: error {error}")
-    return value
+    return value, error
 
 
-#: points drawn, rejected ones included, before a stage gives up
+def _sample(form: _RingForm, kernels: dict, stand_ins: dict, point: dict):
+    """One draw of stage 2: ``form`` at the point, its generators at index
+    i taking the values of ``kernels[i]``. None rejects the draw, 0 is a
+    zero sample, and anything else refutes as |num / den|: an exact
+    Rational when every value is rational, else a _DPS-digit Float.
+
+    Rational values are evaluated exactly over QQ. Otherwise numerator and
+    denominator bases are enclosed in intervals: a base whose enclosure
+    holds 0 rejects the draw, and a numerator whose enclosure holds 0 is
+    a zero sample.
+    """
+    values = [None] * len(form.gens)
+    prec = iv.prec
+    try:
+        with mpmath.workdps(_DPS):
+            iv.dps = _DPS
+            for i, k in kernels.items():
+                values[i] = _value(k, stand_ins, point)
+                if values[i] is None:
+                    return None
+            if all(isinstance(values[i], Rational) for i in kernels):
+                exact = [None if v is None else QQ(v.p, v.q) for v in values]
+                den = [(_evaluate(b, exact), p) for b, p in form.den.items()]
+                if not all(b for b, _ in den):
+                    return None
+                value = _evaluate(form.raw, exact)
+                for b, p in den:
+                    value /= b**p
+                return abs(Rational(int(value.numerator), int(value.denominator)))
+            box = [iv.mpf(v.p) / v.q if isinstance(v, Rational) else v for v in values]
+            den = [(_evaluate(b, box, _lift), p) for b, p in form.den.items()]
+            if any(0 in b for b, _ in den):
+                return None
+            num = _evaluate(form.raw, box, _lift)
+            if 0 in num:
+                return sp.S.Zero
+            value = mpmath.mpf(abs(num).mid)
+            for b, p in den:
+                value /= mpmath.mpf(abs(b).mid) ** p
+            return sp.Float(value, _DPS)
+    finally:
+        iv.prec = prec
+
+
+#: points drawn, rejected ones included, before the zero test gives up
 _MAX_RESAMPLES = 32
-
-#: a stage-2 sample above this magnitude refutes the claim
-_ZERO_BOUND = sp.Float("1e-20")
 
 
 def is_zero(e: sp.Expr, samples: int = 8, seed: int = _SEED) -> ZeroVerdict:
     """Two-stage zero test (see the module docstring).
 
-    Stage 1 is the ring test of :func:`exact_zero`, and refutes with an
-    exact witness where every generator has a rational value (see
-    :func:`_exact_verdict`). Stage 2 evaluates at ``samples`` random
-    rational points to 40 digits, with polynomial stand-ins for formal
-    functions. A pole, a non-finite value or a quadrature that misses its
-    error bound rejects the sample and draws another; too many bad
-    samples raise :class:`IndeterminateZeroTest`. The verdict's
-    ``samples`` counts the points drawn by the stage that decided,
-    rejected ones included.
+    Stage 1 is the ring test of :func:`exact_zero`. Stage 2 samples the
+    ring form it leaves (see :func:`_sample`) until ``samples`` draws are
+    zero samples or one refutes; ``_MAX_RESAMPLES`` draws without a
+    verdict raise :class:`IndeterminateZeroTest`. The verdict's
+    ``samples`` counts the points drawn, rejected ones included.
     """
     e = sp.sympify(e)
-    verdict = _exact_verdict(e, seed)
-    if verdict is not None:
-        return verdict
+    form = _stage1(e)
+    if form is None:
+        return ZeroVerdict(True, "deterministic", expr=e)
+    # only generators left in the numerator or a denominator base get a value
+    used = sorted({i for p in (form.raw, *form.den) for monom in p
+                   for i, n in enumerate(monom) if n})
+    kernels = dict(zip(used, unkernelize(sp.Tuple(*[form.gens[i] for i in used]), form.table)))
+    nodes, symbols = e.atoms(FormalFunction), e.free_symbols
     rng = random.Random(seed)
     good = 0
-    attempts = 0
-    while good < samples:
-        attempts += 1
-        if attempts > _MAX_RESAMPLES:
-            raise IndeterminateZeroTest(
-                f"zero test indeterminate after {_MAX_RESAMPLES} samples: {e}"
-            )
-        val = _numeric_probe(e, rng)
-        if val is None:
+    for attempt in range(1, _MAX_RESAMPLES + 1):
+        stand_ins = _stand_ins(nodes, rng)
+        value = _sample(form, kernels, stand_ins, _draw_point(symbols, rng))
+        if value is None:
             continue
-        if val > _ZERO_BOUND:
-            return ZeroVerdict(False, "nonzero", val, attempts, e)
+        if value:
+            return ZeroVerdict(False, "nonzero", value, attempt, e)
         good += 1
-    return ZeroVerdict(True, "probabilistic", samples=attempts, expr=e)
+        if good >= samples:
+            return ZeroVerdict(True, "probabilistic", samples=attempt, expr=e)
+    raise IndeterminateZeroTest(f"zero test indeterminate after {_MAX_RESAMPLES} samples: {e}")
 
 
 # ---------------------------------------------------------------------------

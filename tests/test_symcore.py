@@ -201,6 +201,16 @@ def test_integral_dummy_names_are_immaterial():
     assert verdict.is_zero and verdict.mode == "deterministic"
 
 
+def test_nested_integral_dummies_are_renamed_in_the_inner_bounds():
+    # ∫₀ᵇ∫₀ᵛ s·v ds dv = b⁴/8 and ∫₀ᵇ∫₀ᵛ s·w ds dw = b²v²/4 differ: the
+    # outer variable v of the first also bounds its inner limit
+    different = parse("int(int(s*v, s, 0, v), v, 0, b) - int(int(s*w, s, 0, v), w, 0, b)")
+    assert is_zero(different).mode == "nonzero"
+    # equal integrals with both bound variables renamed still share a kernel
+    renamed = parse("int(int(s*v, s, 0, v), v, 0, b) - int(int(r*w, r, 0, w), w, 0, b)")
+    assert is_zero(renamed).mode == "deterministic"
+
+
 def test_symbolic_exponent_monomial_relation():
     # base**e and base**(e+1) differ by one factor of the base
     a, y = sp.symbols("a y", positive=True)

@@ -152,7 +152,9 @@ def _count_normalize(monkeypatch, modules):
         return normalize(e)
 
     for module in modules:
-        monkeypatch.setattr(module, "normalize", counting)
+        # raising=False: a module that does not import normalize gets a
+        # counting one it never calls
+        monkeypatch.setattr(module, "normalize", counting, raising=False)
     return calls
 
 
@@ -174,13 +176,19 @@ def test_holding_claims_are_not_normalized(monkeypatch):
 
 
 def test_quotient_solutions_are_decided_exactly(monkeypatch):
-    # holding quotient solutions, the implicit ones too, never reach
-    # normalize or the random-evaluation stage
+    # holding quotient solutions, the implicit ones too, are decided by
+    # one deterministic is_zero call each and never reach normalize
     import jetquot.invariants as inv
 
     calls = _count_normalize(monkeypatch, [symcore, inv])
     modes = []
-    monkeypatch.setattr(inv, "is_zero", lambda e, **kw: modes.append(is_zero(e, **kw)))
+
+    def spy(e, **kw):
+        verdict = is_zero(e, **kw)
+        modes.append(verdict.mode)
+        return verdict
+
+    monkeypatch.setattr(inv, "is_zero", spy)
     solved = 0
     for e in catalog.entries().values():
         for spec in e.solutions:
@@ -188,29 +196,26 @@ def test_quotient_solutions_are_decided_exactly(monkeypatch):
                                                   spec.solution)
             assert verdict.mode == "deterministic"
             solved += 1
-    assert solved == 17 and calls == [] and modes == []
+    assert solved == 17 and calls == [] and modes == ["deterministic"] * 17
 
 
 def test_failing_quotient_claim_is_sampled_once(monkeypatch):
-    # an implicit twin Φ + δ·I is refuted by one stage-1 pass over its
-    # remainder modulo Φ: one exact point, no is_zero, no stage 2
+    # an implicit twin Φ + δ·I is refuted by one is_zero call on its
+    # remainder modulo Φ: one stage-1 pass, one exact point, no normalize
     from dataclasses import replace
 
     import jetquot.invariants as inv
 
     passes, calls = [], []
+    normalized = _count_normalize(monkeypatch, [symcore, inv])
     ring = symcore._kernel_ring
 
     def counting(e):
         passes.append(e)
         return ring(e)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("reached stage 2")
-
     monkeypatch.setattr(symcore, "_kernel_ring", counting)
-    monkeypatch.setattr(symcore, "_numeric_probe", refuse)
-    monkeypatch.setattr(inv, "is_zero", lambda e, **kw: calls.append(e))
+    monkeypatch.setattr(inv, "is_zero", lambda e, **kw: calls.append(e) or is_zero(e, **kw))
     e = catalog.get("hunter-saxton")
     spec = e.solutions[0]
     twin = replace(spec.solution, implicit=spec.solution.implicit + DELTA * inv.I_tok)
@@ -218,11 +223,11 @@ def test_failing_quotient_claim_is_sampled_once(monkeypatch):
     assert not verdict.is_zero and verdict.mode == "nonzero"
     assert isinstance(verdict.witness, sp.Rational) and verdict.witness > 0
     assert verdict.samples == 1
-    assert len(passes) == 1 and calls == []
+    assert len(passes) == 1 and len(calls) == 1 and normalized == []
 
 
 # ---------------------------------------------------------------------------
-# The exact witness: a refutation evaluated over QQ in stage 1
+# The exact witness: the ring form evaluated over QQ
 # ---------------------------------------------------------------------------
 
 
@@ -266,11 +271,7 @@ def _replayed_value(verdict, seed=symcore._SEED):
 
 @pytest.mark.parametrize("twin", [_hs_generator_twin, _burgers_syzygy_twin, _ex31_quotient_twin],
                          ids=["hunter-saxton generator", "burgers-full syzygy", "ex3.1 quotient"])
-def test_twins_are_refuted_by_an_exact_witness(twin, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("reached stage 2")
-
-    monkeypatch.setattr(symcore, "_numeric_probe", refuse)
+def test_twins_are_refuted_by_an_exact_witness(twin):
     verdict = twin()
     assert not verdict.is_zero and verdict.mode == "nonzero"
     assert isinstance(verdict.witness, sp.Rational) and verdict.witness > 0
@@ -296,13 +297,12 @@ v = sp.Symbol("v")
     symcore.formal_integral(g(v), v, x) + u,
 ], ids=["exp", "root", "integral"])
 def test_claims_without_rational_values_reach_stage2(e, monkeypatch):
-    probes = []
-    probe = symcore._numeric_probe
-    monkeypatch.setattr(symcore, "_numeric_probe",
-                        lambda e, rng: probes.append(e) or probe(e, rng))
+    samples = []
+    sample = symcore._sample
+    monkeypatch.setattr(symcore, "_sample", lambda *args: samples.append(args) or sample(*args))
     verdict = is_zero(e)
     assert verdict.mode == "nonzero" and isinstance(verdict.witness, sp.Float)
-    assert probes
+    assert samples
 
 
 def test_failing_claim_certificate_is_the_normal_form(monkeypatch):
