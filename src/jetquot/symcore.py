@@ -16,12 +16,14 @@ vocabulary and evaluates nothing.
 Zero-testing works in two stages. Stage 1 is deterministic: every
 transcendental subexpression becomes an independent kernel symbol, and
 the kernelized expression is walked into a sparse polynomial ring over
-QQ as numerator / product of primitive denominator factors. No gcd is
-taken, so the value is zero exactly when the numerator is; the root
-relations r**L = base and integer shifts between symbolic exponents are
-then reduced inside the ring. When the numerator is not zero, stage 2
-samples the same ring form, with the numerator as it was before those
-reductions: at a random rational point, with a random polynomial
+QQ as numerator / product of primitive denominator factors. A power that
+is not an integer power, exp included, is split by the terms of its
+exponent: each term is a power of its own kernel, and terms that differ
+or sum to a rational share one. No gcd is taken, so the value is zero
+exactly when the numerator is; the root relations r**L = base and
+I**2 = -1 are then reduced inside the ring. When the numerator is not
+zero, stage 2 samples the same ring form, with the numerator as it was
+before those reductions: at a random rational point, with a random polynomial
 stand-in for each formal function, every generator of the numerator and
 the denominator bases takes its value. A symbol and a formal function
 at rational arguments take exact values, and when every value is exact
@@ -616,35 +618,28 @@ def substitute(e: sp.Expr, bindings: Mapping) -> sp.Expr:
 _KERNELS = (sp.Function, sp.Integral)
 
 
-def _exp_factors(arg: sp.Expr):
-    """Split exp(arg) into rational powers of exp(monomial) kernels."""
-    factors = []
-    leftover = []
-    for term, coeff in arg.as_coefficients_dict().items():
-        if coeff.is_Rational:
-            factors.append((sp.exp(term), coeff))
-        else:
-            leftover.append(term * coeff)
-    if leftover:
-        factors.append((sp.exp(sp.Add(*leftover)), sp.Integer(1)))
-    return factors
-
-
 class _Kernelizer:
     """Replaces transcendental kernels by fresh symbols.
 
-    Rational powers base**(p/q) become r**p with r a kernel symbol for
-    base**(1/L) (L the lcm of all denominators seen for that base), with
-    integer parts split off so that distinct fractional powers of one
-    base stay algebraically related.
+    Every power that is not an integer power, exp(a) = E**a included,
+    follows one rule. Its walked exponent is expanded and split into
+    terms. The rational part becomes whole powers of the base times a
+    power of the root kernel base**(1/L), L the lcm of all denominators
+    seen for that base. Every other term m, with rational coefficient c,
+    becomes the c-th power of the kernel base**m, through the root kernel
+    base**(m/L) when c is not an integer. A term that differs by a
+    rational from a term already seen for the same base, or whose sum
+    with it is rational, reuses that term's kernel, and the rational goes
+    to the rational part. Each rewrite holds on the principal branch:
+    b**(m+n) = b**m * b**n and (b**(m/L))**L = b**m.
     """
 
     def __init__(self):
         self.table: dict[sp.Expr, Symbol] = {}
         self.frac_bases: dict[sp.Expr, int] = {}
+        #: the exponent terms m seen for each base, one kernel base**m each
+        self.terms: dict[sp.Expr, list[sp.Expr]] = {}
         self.counter = 0
-        #: a power with an exponent that is not a Rational was seen
-        self.symbolic_powers = False
 
     def _sym(self, kernel: sp.Expr) -> Symbol:
         if kernel not in self.table:
@@ -654,14 +649,9 @@ class _Kernelizer:
 
     def scan_fracs(self, e: sp.Expr):
         for node in sp.preorder_traversal(e):
-            if not node.is_Pow or node.exp.is_Integer:
-                continue
-            if node.exp.is_Rational:
-                base = node.base
-                q = node.exp.q
-                self.frac_bases[base] = sp.ilcm(self.frac_bases.get(base, 1), q)
-            else:
-                self.symbolic_powers = True
+            if node.is_Pow and node.exp.is_Rational and not node.exp.is_Integer:
+                L = sp.ilcm(self.frac_bases.get(node.base, 1), node.exp.q)
+                self.frac_bases[node.base] = L
 
     def run(self, e: sp.Expr) -> sp.Expr:
         self.scan_fracs(e)
@@ -673,11 +663,7 @@ class _Kernelizer:
                 return self._sym(sp.E)
             return e
         if isinstance(e, sp.exp):
-            arg = self._walk(e.args[0])
-            out = sp.Integer(1)
-            for kernel, power in _exp_factors(arg):
-                out *= self._pow_kernel(kernel, power)
-            return out
+            return self._power(sp.E, e.args[0])
         if isinstance(e, _KERNELS):
             canon = e.func(*[self._canon_arg(a) for a in e.args])
             return self._sym(canon)
@@ -688,54 +674,85 @@ class _Kernelizer:
                 base, expo = base.base, sp.cancel(base.exp * expo)
             if expo.is_Integer:
                 return self._walk(base) ** expo
-            if expo.is_Rational:
-                wbase = self._walk(base)
-                return self._frac_pow(wbase, expo)
-            # symbolic exponent: the whole power is a kernel, but walk inside
-            canon = sp.Pow(self._canon_arg(base), sp.cancel(self._walk(expo)),
-                           evaluate=False)
-            return self._sym(canon)
+            return self._power(base, expo)
         return e.func(*[self._walk(a) for a in e.args])
 
     def _canon_arg(self, a):
         if isinstance(a, sp.Tuple):
             return sp.Tuple(*[self._canon_arg(b) for b in a])
-        if a.is_Symbol or a.is_Rational:
-            return a  # already canonical: cancel returns it unchanged
-        w = self._walk(a)
-        try:
-            return sp.cancel(w)
-        except (ValueError, sp.PolynomialError):
-            return w
+        return _cancel(self._walk(a))
 
-    def _frac_pow(self, base: sp.Expr, expo: sp.Rational) -> sp.Expr:
-        L = self.frac_bases.get(base, expo.q)
-        L = sp.ilcm(L, expo.q)
-        self.frac_bases[base] = L
-        root = self._sym(sp.Pow(base, sp.Rational(1, L), evaluate=False))
-        k = int(expo * L)
-        whole, rem = divmod(k, L)
-        return base**whole * root**rem
+    def _power(self, base: sp.Expr, expo: sp.Expr) -> sp.Expr:
+        """base**expo for an exponent that is not an Integer."""
+        if expo.is_Rational:
+            return self._root(self._walk(base), expo)
+        # exp(a) is E**a; the symbol of E is made only for a rational part
+        wbase = base if base is sp.E else self._walk(base)
+        kbase = base if base is sp.E else _cancel(wbase)
+        rational, out = sp.S.Zero, sp.S.One
+        for m, c in sp.expand(self._walk(expo)).as_coefficients_dict().items():
+            if not c.is_Rational:
+                m, c = m * c, sp.S.One
+            if m is sp.S.One:
+                rational += c
+                continue
+            # a rational factor inside a denominator: 1/(2 - 2*a) = (1/2)/(1 - a)
+            content, m = m.as_content_primitive()
+            m0, sign, d = self._term(kbase, m)
+            rational += c * content * d
+            out *= self._root(kbase, sign * c * content, m0)
+        if rational:
+            out *= self._root(self._sym(sp.E) if base is sp.E else wbase, rational)
+        return out
 
-    def _pow_kernel(self, kernel: sp.Expr, power: sp.Rational) -> sp.Expr:
-        if power.is_Integer:
-            return self._sym(kernel) ** power
-        return self._frac_pow_kernel(kernel, power)
+    def _term(self, kbase: sp.Expr, m: sp.Expr):
+        """(m0, sign, d) with m = sign*m0 + d for the first term m0 seen
+        for kbase and a Rational d; (m, 1, 0) when m matches none, and m is
+        seen from then on. Terms whose free symbols differ are not compared."""
+        seen = self.terms.setdefault(kbase, [])
+        for m0 in seen:
+            if m0.free_symbols == m.free_symbols:
+                for sign in (1, -1):
+                    d = sp.cancel(m - sign * m0)
+                    if d.is_Rational:
+                        return m0, sign, d
+        seen.append(m)
+        return m, 1, sp.S.Zero
 
-    def _frac_pow_kernel(self, kernel: sp.Expr, expo: sp.Rational) -> sp.Expr:
-        L = sp.ilcm(self.frac_bases.get(kernel, 1), expo.q)
-        self.frac_bases[kernel] = L
-        root = self._sym(sp.Pow(kernel, sp.Rational(1, L), evaluate=False))
-        k = int(expo * L)
-        whole, rem = divmod(k, L)
-        return self._sym(kernel) ** whole * root**rem
+    def _root(self, base: sp.Expr, expo: sp.Rational, m: sp.Expr = sp.S.One) -> sp.Expr:
+        """(base**m)**expo as whole powers of the kernel base**m times a
+        power of the root kernel base**(m/L), L the lcm of the denominators
+        seen for base**m. With m = 1, base**m is the walked base itself."""
+        whole_kernel = base if m is sp.S.One else self._sym(_power_kernel(base, m))
+        if expo.is_Integer:
+            return whole_kernel**expo
+        L = sp.ilcm(self.frac_bases.get(whole_kernel, 1), expo.q)
+        self.frac_bases[whole_kernel] = L
+        root = self._sym(_power_kernel(base, m / L))
+        whole, rem = divmod(int(expo * L), L)
+        return whole_kernel**whole * root**rem
+
+
+def _cancel(w: sp.Expr) -> sp.Expr:
+    if w.is_Symbol or w.is_Rational:
+        return w  # already canonical: cancel returns it unchanged
+    try:
+        return sp.cancel(w)
+    except (ValueError, sp.PolynomialError):
+        return w
+
+
+def _power_kernel(base: sp.Expr, m: sp.Expr) -> sp.Expr:
+    """The kernel base**m, written exp(m) for the base E."""
+    return sp.exp(m) if base is sp.E else sp.Pow(base, m, evaluate=False)
 
 
 def _canon_integral_dummies(e: sp.Expr, depth: int = 0) -> sp.Expr:
     """Rename integration variables to a fixed sequence keyed by nesting.
 
     Two integrals that differ only in the choice of bound variable then
-    compare structurally equal, so they share a single kernel.
+    compare structurally equal, so they share a single kernel. Integrand
+    factors free of every integration variable move outside the integral.
     """
     e = sp.sympify(e)
     if not e.has(sp.Integral):
@@ -754,7 +771,9 @@ def _canon_integral_dummies(e: sp.Expr, depth: int = 0) -> sp.Expr:
             limits.append(sp.Tuple(rename[var], *[
                 _canon_integral_dummies(b, d) for b in bounds
             ]))
-        return sp.Integral(_canon_integral_dummies(func, d), *limits)
+        outside, func = func.as_independent(*[lim[0] for lim in limits], as_Add=False)
+        return (_canon_integral_dummies(outside, depth)
+                * sp.Integral(_canon_integral_dummies(func, d), *limits))
     if e.is_Atom:
         return e
     return e.func(*[_canon_integral_dummies(a, depth) for a in e.args])
@@ -827,26 +846,13 @@ def _stage1(e: sp.Expr) -> "_RingForm | None":
     if e == 0:
         return None
     # align bound variables so dummy-renamed integrals share one kernel
-    e = _canon_integral_dummies(e)
-    form = _kernel_ring(e)
-    if not form.num:
-        return None
-    # same-base powers with symbolic exponents (x**a * x**b) kernelize to
-    # unrelated symbols; combining exponents first is always sound, and
-    # has nothing to combine where every power has a rational exponent
-    # (the kernelizer already splits the argument of every exp)
-    if not form.symbolic_powers:
-        return form
-    combined = sp.powsimp(e, combine="exp")
-    if combined is not e and not _kernel_ring(combined).num:
-        return None
-    return form
+    form = _kernel_ring(_canon_integral_dummies(e))
+    return form if form.num else None
 
 
 def _kernel_ring(e: sp.Expr) -> "_RingForm":
     k = _Kernelizer()
-    form = _ring_form(k.run(e), k.table)
-    return form._replace(symbolic_powers=k.symbolic_powers)
+    return _ring_form(k.run(e), k.table)
 
 
 # -- stage 1 in a factored-denominator polynomial ring ------------------------
@@ -992,43 +998,33 @@ def _reduce(num, i: int, q: int, value):
     return R.dtype(out)
 
 
-def _relation(kernel: sp.Expr, sym: Symbol, table: dict, exponents: dict):
-    """(q, value) with sym**q = value for the kernel's symbol, or None.
+def _relation(kernel: sp.Expr, table: dict):
+    """(L, value) with sym**L = value for a root kernel, else None.
 
-    Root kernels base**(p/q) give sym**q = base**p. A symbolic power
-    base**e2 gives sym = ref * base**(e2 - e1) when an earlier kernel
-    ref = base**e1 has an exponent differing from e2 by an integer, and
-    sym = base**(e2 + e1) / ref when the exponents sum to an integer.
+    The root base**(1/L) of the walked base gives sym**L = base, and the
+    root base**(m/L) of the kernel base**m gives sym**L = that kernel's
+    symbol. No other kernel has a relation.
     """
-    if not kernel.is_Pow:
+    base, expo = kernel.as_base_exp()  # exp(m) is E**m
+    c, m = expo.as_content_primitive()
+    if not (c.is_Rational and c.q > 1):
         return None
-    base, expo = kernel.args
-    if expo.is_Rational:
-        return expo.q, table.get(base, base) ** expo.p
-    for e1, ref in exponents.get(base, ()):
-        if ref == sym:
-            return None
-        d = sp.cancel(expo - e1)
-        if d.is_Integer:
-            return 1, ref * base**d
-        d = sp.cancel(expo + e1)
-        if d.is_Integer:
-            return 1, base**d / ref
-    return None
+    whole = base if m is sp.S.One else table.get(_power_kernel(base, m))
+    return None if whole is None else (c.q, whole**c.p)
 
 
 class _RingForm(NamedTuple):
     """Stage 1's result in ``ring(gens, QQ)``: the value is raw / Π
     base**power, with ``den`` as ``{base: power}``, and ``num`` is
     ``raw`` with the kernel relations reduced, so it is zero exactly when
-    the value is zero as a function of the kernels."""
+    the value is zero as a function of the kernels. The relations are
+    those of the roots, r**L = base, and I**2 = -1."""
 
     num: object
     raw: object
     den: dict
     gens: list
     table: dict
-    symbolic_powers: bool = False  # a power with an exponent not a Rational
 
 
 def _ring_form(body: sp.Expr, table: dict, relations: bool = True) -> _RingForm:
@@ -1042,12 +1038,8 @@ def _ring_form(body: sp.Expr, table: dict, relations: bool = True) -> _RingForm:
     leaves = _ring_leaves(body, set())
     plan = []
     if relations:
-        exponents: dict = {}
-        for kernel, sym in table.items():
-            if kernel.is_Pow and not kernel.exp.is_Rational:
-                exponents.setdefault(kernel.base, []).append((kernel.exp, sym))
         for kernel, sym in reversed(table.items()):
-            rel = _relation(kernel, sym, table, exponents) if sym in leaves else None
+            rel = _relation(kernel, table) if sym in leaves else None
             if rel is not None:
                 plan.append((sym, *rel))
                 _ring_leaves(rel[1], leaves)

@@ -238,6 +238,19 @@ def test_expr_parse(capsys):
     assert "u_tx" in out
 
 
+@pytest.mark.parametrize("text, printed", [
+    ("u_x^(a+b)*u^(1/2)", "sqrt(u)*u_x**a*u_x**b"),
+    ("exp(A/(1-A))*u_x^(A/(1-A))", "u_x**(A/(1 - A))*exp(A/(1 - A))"),
+    ("u_x^(A/(A-1))*u_x^(1/(1-A))", "u_x"),
+    ("exp(u_x/(1-A))*exp(1/2)", "exp(1/2)*exp(u_x/(1 - A))"),
+], ids=["sum of symbols", "parameter ratio", "ratios summing to 1", "exp"])
+def test_expr_parse_symbolic_exponents(capsys, text, printed):
+    # every term of an exponent is a power of its own kernel
+    code, out, _ = run(capsys, "expr", "parse", text)
+    assert code == 0
+    assert out == printed + "\n"
+
+
 def test_expr_diff_total_and_partial(capsys):
     code, out, _ = run(capsys, "expr", "diff", "u_x^2", "x")
     assert code == 0
