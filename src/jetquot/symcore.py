@@ -23,11 +23,14 @@ or sum to a rational share one. No gcd is taken, so the value is zero
 exactly when the numerator is; the root relations r**L = base and
 I**2 = -1 are then reduced inside the ring. When the numerator is not
 zero, stage 2 samples the same ring form, with the numerator as it was
-before those reductions: at a random rational point, with a random polynomial
-stand-in for each formal function, every generator of the numerator and
-the denominator bases takes its value. A symbol and a formal function
-at rational arguments take exact values, and when every value is exact
-the form is evaluated over QQ, so a nonzero value is an exact witness.
+before those reductions and each denominator base that is one generator
+cancelled against its lowest power in the numerator, so a kernel that
+divides out takes no value: at a random rational point, with a random
+polynomial stand-in for each formal function, every generator of the
+numerator and the denominator bases takes its value. A symbol and a
+formal function at rational arguments (its stand-in's partial, over QQ)
+take exact values, and when every value is exact the form is evaluated
+over QQ, so a nonzero value is an exact witness.
 Any other kernel (exp, log, a root, a symbolic power, an integral, pi)
 takes a 40-digit value with an error enclosure, and the form is
 evaluated in interval arithmetic: a numerator whose enclosure holds 0 is
@@ -36,8 +39,8 @@ partials up to order k gets every monomial of total degree
 max(3, m(k+1) - 1), so no relation among those values holds for the
 stand-in alone. A formal integral of a polynomial integrand is taken
 exactly before it is rounded; any other is computed by 40-digit
-Gauss-Legendre quadrature, one limit at a time, never integrated
-symbolically. A pole, a vanishing
+Gauss-Legendre quadrature (nodes by Newton's method in fixed point), one
+limit at a time, never integrated symbolically. A pole, a vanishing
 denominator base, a complex value or a quadrature that misses its error
 bound rejects the sample, and another point is drawn; a SymPy function
 that is not formal has no stand-in, so its samples are all rejected and
@@ -62,6 +65,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import mpmath
 import sympy as sp
 from mpmath import iv
+from mpmath.calculus.quadrature import GaussLegendre
 from sympy import Rational, Symbol
 from sympy.core.function import AppliedUndef
 from sympy.polys.domains import QQ
@@ -1091,9 +1095,9 @@ def _stand_ins(nodes, rng: random.Random) -> dict[str, tuple[tuple, sp.Poly]]:
     for name, (nargs, tuples, k) in sorted(uses.items()):
         params = sp.symbols(f"_p_{name}_0:{nargs}")
         d = max(3, len(tuples) * (k + 1) - 1)
-        mono = [sp.Mul(*c) for n in range(d + 1)
-                for c in combinations_with_replacement(params, n)]
-        out[name] = (params, sp.Poly(sp.Add(*[_random_rational(rng) * m for m in mono]), *params))
+        terms = {tuple(map(c.count, range(nargs))): _random_rational(rng)
+                 for n in range(d + 1) for c in combinations_with_replacement(range(nargs), n)}
+        out[name] = (params, sp.Poly.from_dict(terms, *params, domain=QQ))
     return out
 
 
@@ -1152,6 +1156,12 @@ def _value(k: sp.Expr, stand_ins: dict, point: dict):
         return point.get(k)
     if k is sp.I:
         return iv.mpc(0, 1)
+    if is_formal(k):
+        params, poly = stand_ins[k.base_name]
+        args = [a.xreplace(point) for a in k.args]
+        if len(args) == len(params) and all(a.is_Rational for a in args):
+            orders = [(p, o) for p, o in zip(params, k.deriv_orders) if o]
+            return (poly.diff(*orders) if orders else poly)(*args)
     try:
         if k.has(sp.Integral):
             bound = _integrate_polynomials(_bind(k, stand_ins))
@@ -1233,10 +1243,43 @@ def _integrate_polynomials(e: sp.Expr) -> sp.Expr:
     return e.replace(polynomial, value)
 
 
+class _FastGaussLegendre(GaussLegendre):
+    """mpmath's nodes by its Newton iteration from a float start, in fixed-point
+    integers at 1.5·prec bits; quad makes an instance per call, so the class caches."""
+
+    _nodes: dict = {}
+
+    def calc_nodes(self, degree, prec, verbose=False):
+        if degree == 1:  # 3 nodes, one of them 0
+            return super().calc_nodes(degree, prec, verbose)
+        if (degree, prec) not in self._nodes:
+            self._nodes[degree, prec] = self._newton(3 * 2 ** (degree - 1), prec)
+        return self._nodes[degree, prec]
+
+    def _newton(self, n: int, prec: int) -> list:
+        ctx, bits, nodes = self.ctx, int(prec * 1.5), []
+        one, eps = 1 << bits, 1 << max(0, bits - prec - 8)
+        for j in range(1, n // 2 + 1):
+            r = int(math.cos(math.pi * (j - 0.25) / (n + 0.5)) * 2**53) << (bits - 53)
+            step = eps
+            while abs(step) >= eps:  # P_n(r) by its recurrence, then P_n'(r)
+                p1, p0 = one, 0
+                for k in range(1, n + 1):
+                    p1, p0 = ((2 * k - 1) * (r * p1 >> bits) - (k - 1) * p0) // k, p1
+                dp = (n * ((r * p1 >> bits) - p0) << bits) // ((r * r >> bits) - one)
+                step = (p1 << bits) // dp
+                r -= step
+            with ctx.workprec(bits):  # -x too would round to the caller's precision
+                x = ctx.mpf((r, -bits))
+                w = ctx.ldexp(2, 3 * bits) / ((one - (r * r >> bits)) * dp * dp)
+                nodes += [(x, w), (-x, w)]
+        return nodes
+
+
 def _gauss_legendre(f, interval):
     """(value, error estimate) of mpmath.quad of bounded degree; raises
     EvalError unless the estimate is within 10**-(dps-5) of max(1, |value|)."""
-    value, error = mpmath.quad(f, interval, method="gauss-legendre", error=True,
+    value, error = mpmath.quad(f, interval, method=_FastGaussLegendre, error=True,
                                maxdegree=6)
     tol = mpmath.mpf(10) ** (5 - mpmath.mp.dps) * max(1, abs(value))
     if not (mpmath.isfinite(value) and error < tol):
@@ -1249,6 +1292,7 @@ def _sample(form: _RingForm, kernels: dict, stand_ins: dict, point: dict):
     i taking the values of ``kernels[i]``. None rejects the draw, 0 is a
     zero sample, and anything else refutes as |num / den|: an exact
     Rational when every value is rational, else a _DPS-digit Float.
+    A kernel that :func:`is_zero` cancelled out of ``form`` is not sampled.
 
     Rational values are evaluated exactly over QQ. Otherwise numerator and
     denominator bases are enclosed in intervals: a base whose enclosure
@@ -1288,6 +1332,19 @@ def _sample(form: _RingForm, kernels: dict, stand_ins: dict, point: dict):
         iv.prec = prec
 
 
+def _cancel_generator_bases(form: _RingForm) -> _RingForm:
+    """``form`` with each denominator base that is one generator cancelled
+    against its lowest power in ``raw``: an exponent shift, no division."""
+    raw, den = form.raw, dict(form.den)
+    for base, p in form.den.items():
+        i = raw.ring.gens.index(base) if base in raw.ring.gens else None
+        c = 0 if i is None else min(p, *(monom[i] for monom in raw))
+        if c:
+            raw = raw.ring.dtype({m[:i] + (m[i] - c,) + m[i + 1:]: a for m, a in raw.items()})
+            den[base] = p - c
+    return form._replace(raw=raw, den={b: p for b, p in den.items() if p})
+
+
 #: points drawn, rejected ones included, before the zero test gives up
 _MAX_RESAMPLES = 32
 
@@ -1295,16 +1352,19 @@ _MAX_RESAMPLES = 32
 def is_zero(e: sp.Expr, samples: int = 8, seed: int = _SEED) -> ZeroVerdict:
     """Two-stage zero test (see the module docstring).
 
-    Stage 1 is the ring test of :func:`exact_zero`. Stage 2 samples the
-    ring form it leaves (see :func:`_sample`) until ``samples`` draws are
-    zero samples or one refutes; ``_MAX_RESAMPLES`` draws without a
-    verdict raise :class:`IndeterminateZeroTest`. The verdict's
-    ``samples`` counts the points drawn, rejected ones included.
+    Stage 1 is the ring test of :func:`exact_zero`. Stage 2 cancels the
+    denominator bases that are single generators from the ring form it
+    leaves (:func:`_cancel_generator_bases`) and samples the rest (see
+    :func:`_sample`) until ``samples`` draws are zero samples or one
+    refutes; ``_MAX_RESAMPLES`` draws without a verdict raise
+    :class:`IndeterminateZeroTest`. The verdict's ``samples`` counts the
+    points drawn, rejected ones included.
     """
     e = sp.sympify(e)
     form = _stage1(e)
     if form is None:
         return ZeroVerdict(True, "deterministic", expr=e)
+    form = _cancel_generator_bases(form)
     # only generators left in the numerator or a denominator base get a value
     used = sorted({i for p in (form.raw, *form.den) for monom in p
                    for i, n in enumerate(monom) if n})

@@ -91,3 +91,28 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("sympy.ph
     assert proc.returncode == 0, proc.stderr
     codes, physics = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0] * 8 and physics == []
+
+
+def test_quadrature_nodes_are_never_built_by_mpmath(tmp_path):
+    # mpmath builds its degree-6 nodes at 40 digits in about a quarter of a
+    # second; its own builder may be called only for the closed-form degree 1
+    code = """
+import json
+import sympy as sp
+from mpmath.calculus.quadrature import GaussLegendre
+from jetquot.symcore import _FastGaussLegendre, is_zero, parse
+built = []
+calc_nodes = GaussLegendre.calc_nodes
+def spy(self, degree, prec, verbose=False):
+    built.append(degree)
+    return calc_nodes(self, degree, prec, verbose)
+GaussLegendre.calc_nodes = spy
+verdict = is_zero(parse("int(exp(v)/(1+v^2), v, 0, u)") + sp.Rational(1, 7))
+fast = sorted({degree for degree, _ in _FastGaussLegendre._nodes})
+print(json.dumps([verdict.mode, type(verdict.witness).__name__, built, fast]))
+"""
+    proc = python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    mode, witness, built, fast = json.loads(proc.stdout.splitlines()[-1])
+    assert (mode, witness) == ("nonzero", "Float")
+    assert set(built) <= {1} and fast[-1] >= 4

@@ -3,11 +3,14 @@
 Covers that the sample point does not depend on the hash seed, that
 formal integrals are evaluated by quadrature, or exactly when the
 integrand is a polynomial, and never integrated symbolically otherwise,
-that quadrature neither hides a nonzero value nor turns a divergent
-integral into a verdict, the resample count, that a value which cancels
-to all 40 digits is a zero sample, that the polynomial stand-ins are
-rich enough for the claims made on them, and that substituting the
-point before binding them gives a kernel the value binding first gives.
+that the fixed-point quadrature nodes are mpmath's, that quadrature
+neither hides a nonzero value nor turns a divergent integral into a
+verdict, that a kernel which cancels out of the fraction takes no value,
+the resample count, that a value which cancels to all 40 digits is a
+zero sample, that the polynomial stand-ins are rich enough for the
+claims made on them and equal the expression-built reference, and that
+substituting the point before binding them gives a kernel the value
+binding first gives.
 """
 
 import os
@@ -15,13 +18,17 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import combinations_with_replacement
 from pathlib import Path
 
+import mpmath
 import pytest
 import sympy as sp
 import sympy.integrals.risch
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.calculus.quadrature import GaussLegendre
+from sympy.polys.domains import QQ
 
 import jetquot
 from jetquot import catalog, cli, symcore
@@ -101,15 +108,64 @@ def test_quadrature_decides_a_non_polynomial_integrand(seed, monkeypatch):
     def f(z):
         return g(z) / (1 + z**2)
 
-    quadratures = []
-    gauss_legendre = symcore._gauss_legendre
-    monkeypatch.setattr(symcore, "_gauss_legendre",
-                        lambda *args: quadratures.append(args) or gauss_legendre(*args))
+    quadratures = _quadratures(monkeypatch)
     scaled = formal_integral(f(v), v, I_tok) - I_tok * formal_integral(f(I_tok * s), s, 1)
     zero = is_zero(scaled, seed=seed)
     assert zero.is_zero and zero.mode == "probabilistic" and quadratures
     nonzero = is_zero(scaled + I_tok / 10**6, seed=seed)
     assert not nonzero.is_zero and nonzero.mode == "nonzero"
+
+
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_fixed_point_nodes_match_mpmath(degree):
+    with mpmath.workdps(40):
+        prec = mpmath.mp.prec + 20
+        fast = symcore._FastGaussLegendre(mpmath.mp).calc_nodes(degree, prec)
+        slow = GaussLegendre(mpmath.mp).calc_nodes(degree, prec)
+        assert len(fast) == len(slow) == 3 * 2 ** (degree - 1)
+        tol = mpmath.ldexp(1, -prec)
+        for (x1, w1), (x2, w2) in zip(fast, slow):
+            assert abs(x1 - x2) < tol and abs(w1 - w2) < tol
+        with mpmath.workprec(2 * prec):
+            assert abs(mpmath.fsum(w for _, w in fast) - 2) < tol
+
+
+def _quadratures(monkeypatch) -> list:
+    calls = []
+    gauss_legendre = symcore._gauss_legendre
+    monkeypatch.setattr(symcore, "_gauss_legendre",
+                        lambda *args: calls.append(args) or gauss_legendre(*args))
+    return calls
+
+
+def test_ex11_quotient_twin_is_refuted_exactly(monkeypatch):
+    # g(I + int(1/alpha, 0, J)) is a factor of the numerator and the
+    # denominator: it cancels, and its quadrature is never computed
+    e = catalog.get("ex1.1")
+    spec = e.solutions[0]
+    twin = replace(spec.solution, h=spec.solution.h + DELTA * I_tok)
+    quadratures = _quadratures(monkeypatch)
+    verdict = check_quotient_solution(spec.specialized_syzygy(e.syzygies), twin)
+    assert verdict.mode == "nonzero" and verdict.samples == 1
+    assert isinstance(verdict.witness, sp.Rational) and not quadratures
+
+
+K = g(formal_integral(1 / (1 + v**2), v, symcore.u))
+
+
+def test_a_kernel_that_cancels_takes_no_value(monkeypatch):
+    quadratures = _quadratures(monkeypatch)
+    verdict = is_zero((x * K + K) / K - x)
+    assert verdict.mode == "nonzero" and verdict.witness == 1
+    assert isinstance(verdict.witness, sp.Rational) and not quadratures
+
+
+def test_a_kernel_that_does_not_divide_is_computed(monkeypatch):
+    # the numerator is 1: no power of K to cancel, so K takes its value
+    quadratures = _quadratures(monkeypatch)
+    verdict = is_zero((x * K + 1) / K - x)
+    assert verdict.mode == "nonzero" and isinstance(verdict.witness, sp.Float)
+    assert quadratures
 
 
 def test_nested_integrals_are_computed_one_limit_at_a_time():
@@ -199,6 +255,42 @@ def test_stand_in_degree_covers_points_and_derivatives():
     assert polys["f"].total_degree() == 3 and (1, 1, 1) in polys["f"].monoms()
 
 
+def _stand_ins_by_expression(nodes, rng: random.Random) -> dict:
+    """The reference stand-ins, built by SymPy expression arithmetic: a sum
+    of terms, one random coefficient per monomial, in the order
+    :func:`symcore._stand_ins` draws them."""
+    uses = {}
+    for node in nodes:
+        nargs, tuples, k = uses.get(node.base_name, (len(node.args), set(), 0))
+        tuples.add(node.args)
+        uses[node.base_name] = (nargs, tuples, max(k, sum(node.deriv_orders)))
+    out = {}
+    for name, (nargs, tuples, k) in sorted(uses.items()):
+        params = sp.symbols(f"_p_{name}_0:{nargs}")
+        d = max(3, len(tuples) * (k + 1) - 1)
+        mono = [sp.Mul(*c) for n in range(d + 1)
+                for c in combinations_with_replacement(params, n)]
+        terms = [symcore._random_rational(rng) * m for m in mono]
+        out[name] = (params, sp.Poly(sp.Add(*terms), *params))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_stand_ins_draw_the_same_polynomials(seed):
+    nodes = [g(t), g(t + 1), formal("g", 1, (2,))(t + 2), formal("f", 3)(t, x, u_x),
+             formal("h", 2, (1, 1))(t, x), formal("h", 2)(x, t)]
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    stand_ins = symcore._stand_ins(nodes, rng)
+    reference = _stand_ins_by_expression(nodes, reference_rng)
+    assert stand_ins.keys() == reference.keys()
+    for name, (params, poly) in stand_ins.items():
+        ref_params, ref_poly = reference[name]
+        assert params == ref_params and poly.domain == QQ
+        assert poly == ref_poly.set_domain(QQ)
+    # the same stream, used up to the same place
+    assert rng.random() == reference_rng.random()
+
+
 # ---------------------------------------------------------------------------
 # Point first: the stand-ins are bound at the point's rational arguments
 # ---------------------------------------------------------------------------
@@ -237,3 +329,17 @@ def test_point_first_probe_equals_bind_first(e, seed):
     point = symcore._draw_point(e.free_symbols, rng)
     for k in e.atoms(symcore.FormalFunction):
         assert symcore._value(k, stand_ins, point) == _bind_first(k, stand_ins, point)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_formal_partials_at_rational_points_are_polynomial_values(seed):
+    partials = [formal("g", 1, (k,))(a) for k in range(4) for a in _ARGS[:5]]
+    partials += [formal("f", 2, orders)(p, q) for orders in ((0, 0), (1, 0), (1, 2))
+                 for p, q in zip(_ARGS[:4], _ARGS[1:5])]
+    rng = random.Random(seed)
+    stand_ins = symcore._stand_ins(partials, rng)
+    point = symcore._draw_point({t, x}, rng)
+    for k in partials:
+        value = symcore._value(k, stand_ins, point)
+        assert isinstance(value, sp.Rational)
+        assert value == symcore._bind(k.xreplace(point), stand_ins)
