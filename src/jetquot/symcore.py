@@ -28,9 +28,9 @@ cancelled against its lowest power in the numerator, so a kernel that
 divides out takes no value: at a random rational point, with a random
 polynomial stand-in for each formal function, every generator of the
 numerator and the denominator bases takes its value. A symbol and a
-formal function at rational arguments (its stand-in's partial, over QQ)
-take exact values, and when every value is exact the form is evaluated
-over QQ, so a nonzero value is an exact witness.
+formal function at rational arguments take exact values, and when every
+value is exact the form is evaluated over QQ, so a nonzero value is an
+exact witness.
 Any other kernel (exp, log, a root, a symbolic power, an integral, pi)
 takes a 40-digit value with an error enclosure, and the form is
 evaluated in interval arithmetic: a numerator whose enclosure holds 0 is
@@ -1156,12 +1156,6 @@ def _value(k: sp.Expr, stand_ins: dict, point: dict):
         return point.get(k)
     if k is sp.I:
         return iv.mpc(0, 1)
-    if is_formal(k):
-        params, poly = stand_ins[k.base_name]
-        args = [a.xreplace(point) for a in k.args]
-        if len(args) == len(params) and all(a.is_Rational for a in args):
-            orders = [(p, o) for p, o in zip(params, k.deriv_orders) if o]
-            return (poly.diff(*orders) if orders else poly)(*args)
     try:
         if k.has(sp.Integral):
             bound = _integrate_polynomials(_bind(k, stand_ins))

@@ -340,6 +340,9 @@ def test_formal_partials_at_rational_points_are_polynomial_values(seed):
     stand_ins = symcore._stand_ins(partials, rng)
     point = symcore._draw_point({t, x}, rng)
     for k in partials:
+        params, poly = stand_ins[k.base_name]
+        orders = [(p, o) for p, o in zip(params, k.deriv_orders) if o]
+        partial = poly.as_expr().diff(*orders) if orders else poly.as_expr()
         value = symcore._value(k, stand_ins, point)
         assert isinstance(value, sp.Rational)
-        assert value == symcore._bind(k.xreplace(point), stand_ins)
+        assert value == partial.xreplace(dict(zip(params, k.xreplace(point).args)))
