@@ -22,16 +22,13 @@ from .symcore import (
     jet,
     normalize,
     parse,
-    substitute,
     t,
     x,
 )
 from .jetcalc import (
-    ContactForm,
     OrderCapError,
     ProlongedField,
     VectorField,
-    cartan_forms,
     prolong,
     total_derivative,
 )
@@ -39,7 +36,6 @@ from .pde import (
     PdeManifold,
     SymmetryVerdict,
     check_symmetry,
-    determining_equations,
     dimension,
 )
 from .invariants import (
@@ -74,7 +70,6 @@ from .hs import (
     ResidualReport,
     SingularCurve,
     cauchy_g,
-    cauchy_g_numeric,
     closed_form_solution,
     constraint_G,
     fit_C,

@@ -285,8 +285,8 @@ def cmd_hs_singular(args) -> int:
         C = _parse_expr(args.C) if args.C is not None else sp.Integer(0)
         sol = hs.general_solution(g, C)
     times = _parse_list(args.times)
-    lo, hi = _parse_range(args.w_window, default_count=2)[0], \
-        _parse_range(args.w_window, default_count=2)[-1]
+    ws = _parse_range(args.w_window, default_count=2)
+    lo, hi = ws[0], ws[-1]
     curve = hs.singular_curve(sol, times, w_window=(lo, hi), n=args.samples)
     rows = ["t,w,x,u"]
     for tv, wv, xv, uv in curve.samples:
@@ -406,8 +406,7 @@ def cmd_catalog_characteristics(args) -> int:
 
 
 def cmd_expr_parse(args) -> int:
-    e = _parse_expr(args.expression)
-    print(normalize(e))
+    print(_parse_expr(args.expression))
     return 0
 
 

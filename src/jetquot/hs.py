@@ -45,10 +45,6 @@ def u_x_of_w(t_val, w_val):
     return 2 * w_val / (t_val * w_val + 2)
 
 
-def w_of_u_x(t_val, ux_val):
-    return 2 * ux_val / (2 - t_val * ux_val)
-
-
 def _in_w(g) -> sp.Expr:
     """Coerce a one-variable expression to the parameter symbol w."""
     g = sp.sympify(g)
@@ -405,29 +401,13 @@ def cauchy_g(t0, u0) -> sp.Expr | list[sp.Expr]:
         branches = sp.solve(sp.Eq(2 * u0p / (2 - t0 * u0p), w), x)
     if not branches:
         raise CauchyError("could not invert the slope map symbolically; "
-                          "supply g numerically instead")
+                          "give g(w) itself instead of the Cauchy data")
     out = []
     for sol_x in branches:
         gw = sp.simplify(sp.cancel(sp.together(g_of_x.subs(x, sol_x))))
         if gw not in out:
             out.append(gw)
     return out[0] if len(out) == 1 else out
-
-
-def cauchy_g_numeric(t0: float, u0_fn, u0p_fn, u0pp_fn, bracket=(-50.0, 50.0)):
-    """Numeric fallback: g(w) as a closure via monotone root-finding."""
-    def g(wv: float) -> float:
-        def slope_gap(xv):
-            p = u0p_fn(xv)
-            return 2 * p / (2 - t0 * p) - wv
-        a, b = bracket
-        xa, xb = slope_gap(a), slope_gap(b)
-        if xa * xb > 0:
-            raise CauchyError(f"slope map does not attain w = {wv} on {bracket}")
-        xv = _brentq(slope_gap, a, b, xtol=1e-14)
-        p = u0p_fn(xv)
-        return (2 - t0 * p)**4 / (16 * u0pp_fn(xv))
-    return g
 
 
 def fit_C(sol: ParamSolution, t0, u0, w_end=0, side="-") -> sp.Expr:

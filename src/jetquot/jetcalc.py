@@ -1,7 +1,6 @@
 """Jet-space calculus.
 
-Total derivatives, contact forms on J^k and prolongation of point
-vector fields to jet space.
+Total derivatives and prolongation of point vector fields to jet space.
 
 D_t, D_x and a prolonged field are derivations, fixed by their values on
 the symbols (t, x, the jets u_σ). Each is applied to an expression in one
@@ -61,27 +60,6 @@ def Dx(e: sp.Expr, cap: int = DEFAULT_ORDER_CAP) -> sp.Expr:
 
 
 @dataclass(frozen=True)
-class ContactForm:
-    """The form du_σ − u_{σt} dt − u_{σx} dx, recorded by coefficients."""
-
-    base: JetVar
-    dt_coefficient: sp.Expr
-    dx_coefficient: sp.Expr
-
-
-def cartan_forms(k: int) -> list[ContactForm]:
-    """Contact one-forms on J^k, one per jet variable of order ≤ k−1."""
-    if k < 1:
-        raise SymcoreError("cartan_forms needs k >= 1")
-    forms = []
-    for n in range(k):
-        for i in range(n + 1):
-            v = JetVar(i, n - i)
-            forms.append(ContactForm(v, -v.shift(dt=1).symbol, -v.shift(dx=1).symbol))
-    return forms
-
-
-@dataclass(frozen=True)
 class VectorField:
     """A point vector field a ∂_t + b ∂_x + c ∂_u."""
 
@@ -109,12 +87,6 @@ class ProlongedField:
 
     def coefficient(self, v: JetVar) -> sp.Expr:
         return self.coeffs[v]
-
-    def truncate(self, k: int) -> "ProlongedField":
-        if k > self.order:
-            raise SymcoreError("cannot truncate upward")
-        kept = {v: c for v, c in self.coeffs.items() if v.order <= k}
-        return ProlongedField(self.field, k, kept)
 
     def apply(self, e: sp.Expr) -> sp.Expr:
         """Directional derivative of e along the prolonged field: one

@@ -3,8 +3,8 @@
 A PDE F = 0 together with a chosen principal derivative gives a
 submanifold E_k of jet space on which the principal derivative and all
 its total-derivative consequences are expressed through the remaining
-(parametric) coordinates. Restriction to E_k, symmetry verification and
-determining-equation generation live here.
+(parametric) coordinates. Restriction to E_k and symmetry verification
+live here.
 """
 
 from __future__ import annotations
@@ -19,16 +19,10 @@ from .symcore import (
     SymcoreError,
     ZeroVerdict,
     differentiate,
-    formal,
     is_zero,
     jets_in,
-    kernelize,
     max_jet_order,
-    normalize,
-    substitute,
     t,
-    u,
-    unkernelize,
     x,
 )
 
@@ -72,9 +66,6 @@ class PdeManifold:
 
     def order(self) -> int:
         return max_jet_order(self.F)
-
-    def solved_rhs(self) -> sp.Expr:
-        return self._rhs[(0, 0)]
 
     def rhs(self, offset: tuple[int, int]) -> sp.Expr:
         """Restricted expression for the principal derivative shifted by offset."""
@@ -154,28 +145,6 @@ def check_symmetry(X: VectorField, M: PdeManifold) -> SymmetryVerdict:
     return SymmetryVerdict(is_zero(M.restrict(apply_prolonged(X, M.F, cap=M.cap))))
 
 
-def determining_equations(M: PdeManifold) -> list[sp.Expr]:
-    """The linear system on unknown coefficients a(t,x,u), b(t,x,u), c(t,x,u).
-
-    The unknowns are formal functions, so their partials print as
-    ``a_33(t, x, u)``. Returns the coefficient list of restrict(X^{(2)}F, M)
-    as a polynomial in the parametric jet coordinates of order ≥ 1. The
-    system is not solved; substituting candidate (a, b, c) must annihilate
-    every entry.
-    """
-    X = VectorField(*(formal(n, 3)(t, x, u) for n in "abc"))
-    residual = M.restrict(apply_prolonged(X, M.F, cap=M.cap))
-    gens = sorted(
-        (sym for sym, (i, j) in jets_in(residual).items() if i + j >= 1),
-        key=lambda s: s.name,
-    )
-    body, table = kernelize(sp.expand(residual))
-    if not gens:
-        return [residual]
-    poly = sp.Poly(body, *gens)
-    return [unkernelize(coeff, table) for coeff in poly.coeffs()]
-
-
 def solution_residual(F: sp.Expr, u_expr: sp.Expr) -> sp.Expr:
     """Residual of F on a candidate solution u(t, x).
 
@@ -195,10 +164,3 @@ def solution_residual(F: sp.Expr, u_expr: sp.Expr) -> sp.Expr:
         return partials[(i, j)]
 
     return F.xreplace({sym: partial(i, j) for sym, (i, j) in jets_in(F).items()})
-
-
-def substitute_coefficients(equations: list[sp.Expr], a: sp.Expr, b: sp.Expr,
-                            c: sp.Expr) -> list[sp.Expr]:
-    """Plug concrete coefficient functions into a determining system."""
-    bindings = {n: ((t, x, u), sp.sympify(v)) for n, v in zip("abc", (a, b, c))}
-    return [normalize(substitute(eq, bindings)) for eq in equations]

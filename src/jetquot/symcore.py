@@ -136,9 +136,6 @@ class JetVar:
     def symbol(self) -> Symbol:
         return Symbol(self.name)
 
-    def shift(self, dt=0, dx=0) -> "JetVar":
-        return JetVar(self.t_order + dt, self.x_order + dx)
-
 
 def jet(t_order: int, x_order: int = 0) -> Symbol:
     """The symbol for the jet variable with the given derivative orders."""
@@ -595,25 +592,6 @@ def _derivation(e: sp.Expr, leaf: Callable[[Symbol], sp.Expr]) -> sp.Expr:
 
 def _free_sorted(e: sp.Expr) -> list[Symbol]:
     return sorted(e.free_symbols, key=sp.default_sort_key)
-
-
-def substitute(e: sp.Expr, bindings: Mapping) -> sp.Expr:
-    """Simultaneous substitution.
-
-    Keys may be symbols (plain replacement) or formal-function names,
-    in which case the value must be a pair ``(params, expr)``.
-    """
-    e = sp.sympify(e)
-    sym_map = {}
-    for key, val in bindings.items():
-        if isinstance(key, str):
-            params, expr = val
-            e = bind_formal(e, key, params, expr)
-        else:
-            sym_map[key] = sp.sympify(val)
-    if sym_map:
-        e = e.xreplace(sym_map)
-    return e
 
 
 # -- kernelization for normalization / zero testing -------------------------
@@ -1147,23 +1125,20 @@ def _value(k: sp.Expr, stand_ins: dict, point: dict):
     None means no real value: a pole, a complex value, a failed
     quadrature, a function that is not formal, a stray symbol.
 
-    Without integrals the point is substituted first and the stand-ins
-    are bound at its rational arguments. With them the stand-ins are
-    bound first, an integral of a polynomial becomes its exact value, and
-    what integrals remain are computed by quadrature.
+    The point is substituted first, then the stand-ins are bound at its
+    rational arguments, then an integral of a polynomial becomes its
+    exact value; what integrals remain are computed by quadrature. The
+    substitution assumes that no point symbol is named like a canonical
+    integration variable (``_iv0``, ``_iv1``, ...).
     """
     if k.is_Symbol:
         return point.get(k)
     if k is sp.I:
         return iv.mpc(0, 1)
     try:
-        if k.has(sp.Integral):
-            bound = _integrate_polynomials(_bind(k, stand_ins))
-            if bound.has(sp.Integral):
-                return _integral_value(bound, point)
-            value = bound.xreplace(point)
-        else:
-            value = _bind(k.xreplace(point), stand_ins)
+        value = _integrate_polynomials(_bind(k.xreplace(point), stand_ins))
+        if value.has(sp.Integral):
+            return _integral_value(value)
         if is_formal(k) and value.is_Rational:
             return value
         n = value.evalf(_DPS)
@@ -1188,9 +1163,9 @@ class _QuadPrinter(MpmathPrinter):
         return out
 
 
-def _integral_value(k: sp.Expr, point: dict):
-    """An interval around the value of k, which holds integrals, at the
-    point. Each integral is computed one limit at a time, an inner
+def _integral_value(k: sp.Expr):
+    """An interval around the value of k, which holds integrals and no
+    free symbol. Each integral is computed one limit at a time, an inner
     quadrature at every node of the outer one. The radius is the
     quadratures' own error bound: an inner quadrature's error counts once
     per unit length of the interval outside it."""
@@ -1203,12 +1178,11 @@ def _integral_value(k: sp.Expr, point: dict):
         errors[-1] = max(errors[-1], error + inner * abs(interval[1] - interval[0]))
         return value
 
-    syms = list(point)
     printer = _QuadPrinter({"fully_qualified_modules": False, "inline": True,
                             "allow_unknown_functions": True})
-    f = sp.lambdify(syms, k, [{"quad": quad}, "mpmath"], printer=printer,
+    f = sp.lambdify([], k, [{"quad": quad}, "mpmath"], printer=printer,
                     docstring_limit=0)  # no docstring: it would print k again
-    z = f(*(mpmath.mpf(point[s].p) / point[s].q for s in syms))
+    z = f()
     if not (isinstance(z, mpmath.mpf) and mpmath.isfinite(z)):
         return None
     return _interval(z, max(errors[0], _radius(z)))

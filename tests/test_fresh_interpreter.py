@@ -1,5 +1,6 @@
-"""What only a fresh interpreter shows: the modules the cold path loads
-and what reaches stderr."""
+"""What only a fresh interpreter shows: the modules the cold path loads,
+what reaches stderr, and that the benchmark's tracer finds every
+function it wraps."""
 
 import json
 import os
@@ -10,6 +11,7 @@ import sys
 import jetquot
 
 _SRC = str(pathlib.Path(jetquot.__file__).parents[1])
+_PERFBENCH = str(pathlib.Path(jetquot.__file__).parents[2] / "perfbench")
 
 
 def python(code: str, tmp_path, *args) -> subprocess.CompletedProcess:
@@ -116,3 +118,19 @@ print(json.dumps([verdict.mode, type(verdict.witness).__name__, built, fast]))
     mode, witness, built, fast = json.loads(proc.stdout.splitlines()[-1])
     assert (mode, witness) == ("nonzero", "Float")
     assert set(built) <= {1} and fast[-1] >= 4
+
+
+def test_benchmark_tracer_wraps_every_layer(tmp_path):
+    # install looks up each wrapped function by name and raises KeyError
+    # or AttributeError once one is renamed or deleted
+    code = f"""
+import json, sys
+sys.path.insert(0, {_PERFBENCH!r})
+import layers, spans, workloads
+layers.install(spans.Tracer())
+print(json.dumps([len(workloads.build(w, 1))
+                  for w in ("verify-catalog", "discover-syzygy", "hs-pipeline")]))
+"""
+    proc = python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert all(json.loads(proc.stdout.splitlines()[-1]))

@@ -1,4 +1,4 @@
-"""Total derivatives, contact forms and prolongation."""
+"""Total derivatives and prolongation."""
 
 import pytest
 import sympy as sp
@@ -11,7 +11,6 @@ from jetquot.jetcalc import (
     OrderCapError,
     VectorField,
     apply_prolonged,
-    cartan_forms,
     prolong,
 )
 from jetquot.symcore import JetVar, jet, normalize, t, x
@@ -48,17 +47,6 @@ def test_order_cap():
     assert Dx(e, cap=9) == jet(0, 9)
 
 
-def test_cartan_forms_count_and_shape():
-    forms = cartan_forms(2)
-    # one form per jet of order <= 1: u, u_t, u_x
-    assert len(forms) == 3
-    base = {f.base for f in forms}
-    assert base == {JetVar(0, 0), JetVar(1, 0), JetVar(0, 1)}
-    f_u = next(f for f in forms if f.base == JetVar(0, 0))
-    assert f_u.dt_coefficient == -u_t
-    assert f_u.dx_coefficient == -u_x
-
-
 def test_prolongation_first_order_formula():
     """phi^x = D_x(c) - u_t D_x(a) - u_x D_x(b) for X = a dt + b dx + c du."""
     a, b, c = t * x, u, x**2
@@ -78,14 +66,6 @@ def test_prolongation_scaling():
     P = prolong(VectorField(0, x, u), 2)
     assert sp.expand(P.coefficient(JetVar(0, 1))) == 0
     assert sp.expand(P.coefficient(JetVar(0, 2)) + u_xx) == 0
-
-
-def test_truncate():
-    P = prolong(VectorField(0, x, u), 3)
-    Q = P.truncate(1)
-    assert Q.order == 1
-    with pytest.raises(Exception):
-        Q.coefficient(JetVar(0, 2))
 
 
 def test_apply_prolonged_on_known_symmetry():

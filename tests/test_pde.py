@@ -2,7 +2,6 @@
 
 import pytest
 import sympy as sp
-from sympy.core.function import AppliedUndef
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,12 +10,10 @@ from jetquot.pde import (
     PdeManifold,
     RestrictionError,
     check_symmetry,
-    determining_equations,
     dimension,
     solution_residual,
-    substitute_coefficients,
 )
-from jetquot.symcore import formal, jet, t, x
+from jetquot.symcore import jet, t, x
 
 u, u_t, u_x = jet(0, 0), jet(1, 0), jet(0, 1)
 u_tt, u_tx, u_xx = jet(2, 0), jet(1, 1), jet(0, 2)
@@ -44,8 +41,8 @@ def hs():
 
 
 def test_solved_rhs(burgers, hs):
-    assert burgers.solved_rhs() == u_xx - u * u_x
-    assert sp.expand(hs.solved_rhs() + u * u_xx + u_x**2 / 2) == 0
+    assert burgers.rhs((0, 0)) == u_xx - u * u_x
+    assert sp.expand(hs.rhs((0, 0)) + u * u_xx + u_x**2 / 2) == 0
 
 
 def test_restrict_eliminates_principal(burgers):
@@ -96,25 +93,6 @@ def test_burgers_symmetries_exact(burgers, X):
 def test_non_symmetry_is_rejected(burgers):
     res = check_symmetry(VectorField(0, 0, x), burgers)
     assert not res.holds
-
-
-def test_determining_equations_annihilated(burgers):
-    eqs = determining_equations(burgers)
-    assert len(eqs) > 1
-    # the Galilean boost a=0, b=t, c=1 solves the determining system
-    out = substitute_coefficients(eqs, sp.Integer(0), t, sp.Integer(1))
-    assert all(sp.expand(e) == 0 for e in out)
-    # a generic non-symmetry does not
-    bad = substitute_coefficients(eqs, sp.Integer(0), sp.Integer(0), x)
-    assert any(sp.expand(e) != 0 for e in bad)
-
-
-def test_determining_equations_use_formal_unknowns(burgers):
-    eqs = determining_equations(burgers)
-    assert len(eqs) == 9
-    assert not any(e.has(sp.Derivative, sp.Subs, AppliedUndef) for e in eqs)
-    # a_uu = 0 is one of the equations
-    assert -formal("a", 3, (0, 0, 2))(t, x, u) in eqs
 
 
 def test_solution_residual_exact():

@@ -11,7 +11,6 @@ from jetquot.symcore import (
     EvalError,
     ExprSyntaxError,
     IndeterminateZeroTest,
-    JetVar,
     bind_formal,
     canonical_jet_name,
     compile_numeric,
@@ -25,7 +24,6 @@ from jetquot.symcore import (
     max_jet_order,
     normalize,
     parse,
-    substitute,
     t,
     unkernelize,
     x,
@@ -55,12 +53,6 @@ def test_jets_in_and_order():
     assert found[u_x] == (0, 1)
     assert max_jet_order(e) == 2
     assert max_jet_order(sp.Integer(3)) == -1
-
-
-def test_jetvar_shift():
-    v = JetVar(1, 1)
-    assert v.shift(dx=1).name == "u_txx"
-    assert v.order == 2
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +129,6 @@ def test_bind_formal_derivatives():
     e = g(t) + gpp(t**2)
     bound = bind_formal(e, "g", (w,), sp.exp(2 * w))
     assert sp.simplify(bound - (sp.exp(2 * t) + 4 * sp.exp(2 * t**2))) == 0
-
-
-def test_substitute_mixed():
-    g = formal("g")
-    w = sp.Symbol("w")
-    e = g(u_x) + t
-    out = substitute(e, {"g": ((w,), w**2), t: 3})
-    assert out == u_x**2 + 3
 
 
 def test_formal_integral_fundamental_theorem():

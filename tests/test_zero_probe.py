@@ -297,8 +297,15 @@ def test_stand_ins_draw_the_same_polynomials(seed):
 
 f2 = formal("f", 2)
 _ARGS = [t, x, t + 1, 2 * x - t, t * x, 1 / (t - 1), (x + 1) / (t**2 + 1)]
+_IV0, _IV1 = sp.symbols("_iv0 _iv1")
+# integrals whose integrands are polynomials once the stand-ins are bound
+_INTEGRALS = [sp.Integral(g(_IV0) * _IV0, (_IV0, 0, t)),
+              sp.Integral(formal("g", 1, (1,))(2 * _IV0 - t) * x, (_IV0, t, x + 1)),
+              sp.Integral(f2(_IV0, t * x) + _IV0**2, (_IV0, -1, x)),
+              sp.Integral(g(_IV0) * _IV1, (_IV0, 0, _IV1), (_IV1, 0, t))]
 _ATOMS = ([g(a) for a in _ARGS] + [formal("g", 1, (k,))(a) for k in (1, 3) for a in _ARGS[:4]]
-          + [f2(p, q) for p, q in zip(_ARGS, _ARGS[1:])] + [formal("f", 2, (1, 2))(t, x), a, b])
+          + [f2(p, q) for p, q in zip(_ARGS, _ARGS[1:])] + [formal("f", 2, (1, 2))(t, x), a, b]
+          + _INTEGRALS)
 
 
 @st.composite
@@ -314,11 +321,15 @@ def _formal_expressions(draw):
 
 def _bind_first(k, stand_ins, point):
     """A kernel's value as the probe once computed it: bind the stand-ins,
-    then substitute the point."""
+    then substitute the point, then let SymPy take the integrals, here of
+    polynomials. An integral's value is the interval stage 2 puts around
+    it."""
     for name, (params, poly) in stand_ins.items():
         k = symcore.bind_formal(k, name, params, poly)
-    value = k.xreplace(point)
-    return None if value.has(sp.zoo, sp.nan, sp.oo, -sp.oo) else value
+    value = k.xreplace(point).doit()
+    if value.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
+        return None
+    return symcore._value(value, {}, {}) if k.has(sp.Integral) else value
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -327,7 +338,10 @@ def test_point_first_probe_equals_bind_first(e, seed):
     rng = random.Random(seed)
     stand_ins = symcore._stand_ins(e.atoms(symcore.FormalFunction), rng)
     point = symcore._draw_point(e.free_symbols, rng)
-    for k in e.atoms(symcore.FormalFunction):
+    # the integrals, and the formal functions outside them
+    kernels = e.atoms(sp.Integral) | {k for k in e.atoms(symcore.FormalFunction)
+                                      if not k.has(_IV0, _IV1)}
+    for k in kernels:
         assert symcore._value(k, stand_ins, point) == _bind_first(k, stand_ins, point)
 
 

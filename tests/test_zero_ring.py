@@ -186,6 +186,15 @@ def test_flattening_does_not_prove_sqrt_of_square():
     assert is_zero(sp.sqrt(x**2) - x).mode != "deterministic"
 
 
+@pytest.mark.xfail(strict=True, reason="a kernel base takes its root from the first power "
+                   "walked: exp(x)**(5/3) makes exp(x)**(1/3), unrelated to exp(x)**(1/6)")
+def test_roots_of_a_kernel_base_do_not_depend_on_term_order():
+    e = sp.exp(x)
+    terms = (_unevaluated(e**sp.Rational(5, 6), e**sp.Rational(5, 6)), -e**sp.Rational(5, 3))
+    assert is_zero(sp.Add(*terms, evaluate=False)).mode == "deterministic"
+    assert is_zero(sp.Add(*reversed(terms), evaluate=False)).mode == "deterministic"
+
+
 # ---------------------------------------------------------------------------
 # Undefined input never gives a deterministic zero
 # ---------------------------------------------------------------------------
