@@ -312,7 +312,10 @@ def cmd_hs_transform(args) -> int:
             f"unknown generator {args.generator!r}; choose from {', '.join(hs.GENERATORS)}",
             code=2)
     g = _parse_expr(args.g)
-    gt = sp.simplify(hs.transform_g(args.generator, _parse_expr(args.s), g))
+    gt = hs.transform_g(args.generator, _parse_expr(args.s), g)
+    # the canonical p/q form of a rational result; otherwise the
+    # substituted g with its powers combined
+    gt = sp.cancel(sp.together(gt)) if gt.is_rational_function() else sp.powsimp(gt)
     print(f"g_s(w) = {gt}")
     return 0
 

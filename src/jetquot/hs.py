@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import sympy as sp
+from sympy.integrals.rationaltools import ratint
 
 from .symcore import EvalError, SymcoreError, compile_numeric, exact_zero, is_zero, jet, t, x
 
@@ -67,13 +68,37 @@ def constraint_G(g) -> sp.Expr:
 # ---------------------------------------------------------------------------
 
 
-def _closed(e: sp.Expr) -> sp.Expr:
-    """doit() an integral expression; ``e`` itself if an Integral or an
-    infinity survives."""
-    out = e.doit()
-    if out.has(sp.Integral, sp.nan, sp.zoo, sp.oo, -sp.oo):
+_UNCLOSED = (sp.Integral, sp.RootSum, sp.nan, sp.zoo, sp.oo, -sp.oo)
+
+
+def _closed(e: sp.Integral) -> sp.Expr:
+    """The moment ``e`` = ∫₀ʷ f(v) dv in closed form, or ``e`` itself if an
+    infinity, a RootSum or an Integral survives.
+
+    A rational f takes its antiderivative F from ``ratint`` (Hermite
+    reduction and Lazard-Rioboo-Trager, Bronstein ch. 2) and the moment
+    is F(w) − F(0); any other f goes through ``doit``.
+    """
+    f, (var, lo, hi) = e.function, e.limits[0]
+    if f.is_rational_function(var):
+        F = ratint(f, var)
+        F0 = F.subs(var, lo)
+        if F0.has(*_UNCLOSED):
+            return e
+        out = F.subs(var, hi) - F0
+    else:
+        out = e.doit()
+    if out.has(*_UNCLOSED):
         return e
     return sp.cancel(sp.together(out))
+
+
+def _canonical(e: sp.Expr) -> sp.Expr:
+    """cancel(together(e)) for a rational function of e's symbols, the
+    canonical p/q form; sp.simplify only for anything else."""
+    if e.is_rational_function():
+        return sp.cancel(sp.together(e))
+    return sp.simplify(e)
 
 
 def _moments(g: sp.Expr) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
@@ -364,7 +389,7 @@ def _brentq(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100) -
 
 def _poly_solve(eq: sp.Expr, var: sp.Symbol) -> list[sp.Expr] | None:
     """The solutions of eq = 0 for ``var`` as ``sp.solve`` lists them (the
-    same roots, simplified when at most two, in default-key order) when eq
+    same roots, canonical when at most two, in default-key order) when eq
     is a polynomial in ``var`` whose roots it finds without general cubic
     or quartic formulas; else None. No ``sp.solve`` solution check runs."""
     if not eq.is_polynomial(var):
@@ -375,7 +400,7 @@ def _poly_solve(eq: sp.Expr, var: sp.Symbol) -> list[sp.Expr] | None:
         return None
     sols = list(found)
     if len(sols) <= 2:
-        sols = [sp.simplify(r) for r in sols]
+        sols = [_canonical(r) for r in sols]
     return sorted(sols, key=sp.default_sort_key)
 
 
@@ -404,7 +429,9 @@ def cauchy_g(t0, u0) -> sp.Expr | list[sp.Expr]:
                           "give g(w) itself instead of the Cauchy data")
     out = []
     for sol_x in branches:
-        gw = sp.simplify(sp.cancel(sp.together(g_of_x.subs(x, sol_x))))
+        # a non-rational g (u0 = x^3) is simplified from its cancelled form,
+        # which keeps the expanded denominator that the command prints
+        gw = _canonical(sp.cancel(sp.together(g_of_x.subs(x, sol_x))))
         if gw not in out:
             out.append(gw)
     return out[0] if len(out) == 1 else out
@@ -432,14 +459,14 @@ def fit_C(sol: ParamSolution, t0, u0, w_end=0, side="-") -> sp.Expr:
     K = sp.Symbol("_C0")
     u_slice = (U_part + Cp).subs(t, t0)
     x_slice = X_part.subs(t, t0) + K
-    gap = sp.simplify(u0.subs(x, x_slice) - u_slice)
+    gap = _canonical(u0.subs(x, x_slice) - u_slice)
     sols = _poly_solve(gap, K)
     if sols is None:
         sols = sp.solve(gap, K)
     consts = [s for s in sols if w not in s.free_symbols]
     if not consts:
         raise CauchyError("decay rule is inconsistent with the initial slice")
-    C0 = sp.simplify(consts[0])
+    C0 = _canonical(consts[0])
     # the solved constant must make the slice match identically in w
     if not is_zero(gap.subs(K, C0)):
         raise CauchyError("initial-slice matching does not hold identically")

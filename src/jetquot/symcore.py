@@ -733,8 +733,10 @@ def _canon_integral_dummies(e: sp.Expr, depth: int = 0) -> sp.Expr:
     """Rename integration variables to a fixed sequence keyed by nesting.
 
     Two integrals that differ only in the choice of bound variable then
-    compare structurally equal, so they share a single kernel. Integrand
-    factors free of every integration variable move outside the integral.
+    compare structurally equal, so they share a single kernel. The new
+    variables are Dummies with fixed indices, which equal no symbol that
+    ``parse`` makes, so no free symbol is captured. Integrand factors
+    free of every integration variable move outside the integral.
     """
     e = sp.sympify(e)
     if not e.has(sp.Integral):
@@ -744,7 +746,7 @@ def _canon_integral_dummies(e: sp.Expr, depth: int = 0) -> sp.Expr:
         limits = []
         d = depth
         for var, *bounds in e.limits:
-            rename = {var: Symbol(f"_iv{d}")}
+            rename = {var: sp.Dummy(f"iv{d}", dummy_index=d)}
             d += 1
             func = func.xreplace(rename)
             # limits are innermost first: the bounds before this one may
@@ -1127,9 +1129,7 @@ def _value(k: sp.Expr, stand_ins: dict, point: dict):
 
     The point is substituted first, then the stand-ins are bound at its
     rational arguments, then an integral of a polynomial becomes its
-    exact value; what integrals remain are computed by quadrature. The
-    substitution assumes that no point symbol is named like a canonical
-    integration variable (``_iv0``, ``_iv1``, ...).
+    exact value; what integrals remain are computed by quadrature.
     """
     if k.is_Symbol:
         return point.get(k)

@@ -72,14 +72,17 @@ def test_divergent_quadrature_prints_no_scipy_warning(tmp_path):
 
 def test_readme_commands_load_no_physics_units(tmp_path):
     # sympy.physics.units costs a fifth of a second; sp.solve's solution
-    # check imports it, and so does every sp.simplify, which the Cauchy
-    # and transform commands still call
+    # check imports it, and so does every sp.simplify
     code = """
 import json, sys
 from jetquot import cli
 codes = [cli.main(argv) for argv in (
     ["verify", "hunter-saxton"],
     ["hs", "solve", "--g", "exp(w)", "--C", "0", "--t", "0:2.5:0.5", "--w=-4:0.9:0.1"],
+    ["hs", "cauchy", "--t0", "1", "--u0", "x^2"],
+    ["hs", "singular", "--from-cauchy", "x^2", "--t0", "1", "--C=-(t-1)^2/3",
+     "--times", "1.5,2,2.5", "--check", "3*x^2*u^2+4*x^3-u^3+1", "--tol", "1e-10"],
+    ["hs", "transform", "--generator", "projective", "--s", "1", "--g", "exp(w)"],
     ["catalog", "list"],
     ["catalog", "solve", "ex3.3", "--g", "x", "--C", "t"],
     ["catalog", "characteristics", "hunter-saxton", "--span", "0:1", "--step", "0.02"],
@@ -92,7 +95,7 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("sympy.ph
     proc = python(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
     codes, physics = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0] * 8 and physics == []
+    assert codes == [0] * 11 and physics == []
 
 
 def test_quadrature_nodes_are_never_built_by_mpmath(tmp_path):

@@ -136,6 +136,26 @@ def test_surface_is_linear_in_the_comparison_moments(g):
         assert is_zero(gap).mode == "deterministic"
 
 
+@pytest.mark.parametrize("g", [8 / (2 + w) ** 4, 1 / (w + 1), 1 / (w**2 + 1), G_EXP],
+                         ids=["quartic", "log", "atan", "divergent"])
+def test_rational_moments_match_the_general_integrator(g, monkeypatch):
+    # a rational integrand's antiderivative comes from ratint, and each
+    # moment equals what Integral.doit() gives
+    used, ratint = [], hs.ratint
+    monkeypatch.setattr(hs, "ratint", lambda f, var: used.append(f) or ratint(f, var))
+    v = sp.Symbol("v")
+    for k in range(3):
+        moment = sp.Integral(v**k * g.subs(w, v), (v, 0, w))
+        closed = hs._closed(moment)
+        if g == G_EXP and k == 0:
+            # ∫₀ʷ diverges at 0: the Integral is kept
+            assert closed == moment
+            continue
+        assert not closed.has(sp.Integral)
+        assert is_zero(closed - moment.doit()).mode == "deterministic"
+    assert len(used) == 3
+
+
 def test_degenerate_g_is_flagged():
     sol = general_solution(sp.Integer(0), t)
     assert sol.degenerate
@@ -236,6 +256,24 @@ def test_polynomial_cauchy_data_never_call_solve(monkeypatch):
     branches = cauchy_g(1, x**3)
     assert len(branches) == 2 and sp.simplify(branches[0] + branches[1]) == 0
     assert fit_C(general_solution(8 / (2 + w) ** 4, 0), 1, x**2) == 0
+
+
+def test_cauchy_path_never_calls_simplify(monkeypatch, capsys):
+    # every result of the README Cauchy and transform commands is rational
+    # or an exponential, whose canonical forms need no sp.simplify
+    from jetquot import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sp.simplify called")
+
+    monkeypatch.setattr(sp, "simplify", refuse)
+    assert cauchy_g(1, x**2) == 8 / (w**4 + 8 * w**3 + 24 * w**2 + 32 * w + 16)
+    assert (cauchy_g(sp.Rational(1, 2), x**2)
+            == 128 / (w**4 + 16 * w**3 + 96 * w**2 + 256 * w + 256))
+    assert fit_C(general_solution(8 / (2 + w) ** 4, 0), 1, x**2) == 0
+    assert cli.main(["hs", "transform", "--generator", "projective", "--s", "1",
+                     "--g", "exp(w)"]) == 0
+    assert capsys.readouterr().out == "g_s(w) = exp(w + 2)\n"
 
 
 def test_fit_C_needs_a_closed_surface():

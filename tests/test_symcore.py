@@ -195,6 +195,13 @@ def test_nested_integral_dummies_are_renamed_in_the_inner_bounds():
     assert is_zero(renamed).mode == "deterministic"
 
 
+def test_renamed_integration_variables_capture_no_free_symbol():
+    # a free symbol named _iv0 is not captured by the renamed bound variables
+    assert is_zero(parse("int(_iv0*v, v, 0, u) - u^3/3")).mode == "nonzero"
+    assert is_zero(parse("int(_iv0*v, v, 0, u) - _iv0*u^2/2"))
+    assert is_zero(parse("int(v, v, 0, _iv0) - _iv0^2/2"))
+
+
 def test_symbolic_exponent_monomial_relation():
     # base**e and base**(e+1) differ by one factor of the base
     a, y = sp.symbols("a y", positive=True)
