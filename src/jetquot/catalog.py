@@ -2,9 +2,10 @@
 
 Each entry bundles a PDE, a symmetry algebra, generating differential
 invariants, a Tresse frame, the differential syzygies (the quotient PDE)
-and — where available — the closed-form solution of the quotient plus a
-reconstruction recipe back to u(t, x). ``verify_entry`` replays every
-claim symbolically; ``instantiate`` produces concrete solutions;
+and — where available — the closed-form solution of the quotient plus the
+reconstructed u(t, x), both expressions in the entry's parameters and the
+formal functions g and C. ``verify_entry`` replays every claim
+symbolically; ``instantiate`` produces concrete solutions;
 ``characteristics_solve`` integrates first-order quotients numerically.
 """
 
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import sympy as sp
 from sympy import Symbol, exp, log
@@ -38,8 +38,10 @@ from .symcore import (
     EvalError,
     SymcoreError,
     ZeroVerdict,
+    _bind,
     bind_formal,
     compile_numeric,
+    exact_zero,
     formal,
     formal_integral,
     is_zero,
@@ -115,10 +117,11 @@ class SolutionSpec:
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """Recipe recovering u(t, x) from an instantiated quotient solution."""
+    """u(t, x) recovered from the quotient solution: an expression in the
+    entry's parameters and the formal functions g and C."""
 
     description: str
-    build: Callable[[dict], sp.Expr]
+    u: sp.Expr
 
 
 @dataclass
@@ -194,18 +197,15 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _verdict(v: ZeroVerdict) -> str:
-    if not v.is_zero:
-        return "fail"
-    return "exact" if v.mode == "deterministic" else "probabilistic"
-
-
-def _joint(verdicts: list[ZeroVerdict]) -> tuple[str, sp.Expr | None]:
-    """The worst of several verdicts and the certificate of the first failure."""
-    modes = {_verdict(v) for v in verdicts}
-    worst = next((m for m in ("fail", "probabilistic") if m in modes), "exact")
-    failed = next((v for v in verdicts if not v.is_zero), None)
-    return worst, None if failed is None else failed.residual
+def _stage(stage: str, subject: str, verdicts) -> Stage:
+    """The worst of a stage's zero tests, with the certificate of the
+    first test that failed (None when none did)."""
+    exact = True
+    for v in verdicts:
+        if not v.is_zero:
+            return Stage(stage, subject, "fail", v.residual)
+        exact = exact and v.mode == "deterministic"
+    return Stage(stage, subject, "exact" if exact else "probabilistic")
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,7 @@ def _entries() -> dict[str, CatalogEntry]:
     def add(entry: CatalogEntry):
         entries[entry.name] = entry
 
-    v, s = sp.symbols("v s")
+    v, s, tau = sp.symbols("v s tau")
 
     # -- Burgers with the three-dimensional algebra --------------------------
     F_b = u_xx - u_t - u * u_x
@@ -307,10 +307,8 @@ def _entries() -> dict[str, CatalogEntry]:
         single_derivation=(sp.Integer(0), 1 / u_xx),
         syzygies=[Syzygy(HI - 1)],
         solutions=[SolutionSpec(0, QuotientSolution(h=I_tok - A_par))],
-        reconstruction=Reconstruction(
-            "u = A x + B + C e^x",
-            lambda p: p["A"] * x + p["B"] + p["C"] * exp(x),
-        ),
+        reconstruction=Reconstruction("u = A x + B + C e^x",
+                                      A_par * x + B_par + C2_par * exp(x)),
         parameters={"A": A_par, "B": B_par, "C": C2_par},
         validity=[u_xx],
     ))
@@ -527,7 +525,9 @@ def _entries() -> dict[str, CatalogEntry]:
 
     b1 = formal("alpha1", 1)
     b2 = formal("alpha2", 1)
-    B2 = formal_integral(b2(s), s, x)
+    # the inner antiderivative keeps the outer dummy v, so that
+    # differentiating under the integral reproduces exp(B2)
+    B2 = formal_integral(b2(v), v, x)
     add(CatalogEntry(
         name="ex3.2",
         description="u_tx = u_t (α₁(x) u + α₂(x)), a Riccati quotient; "
@@ -543,7 +543,7 @@ def _entries() -> dict[str, CatalogEntry]:
         ))],
         reconstruction=Reconstruction(
             "g ≡ 0: u = 2 e^{∫α₂} / (C(t) − ∫α₁ e^{∫α₂})",
-            lambda p: _ex32_build(p),
+            2 * exp(B2) / (C_(t) - formal_integral(b1(s) * exp(B2.xreplace({x: s})), s, x)),
         ),
         validity=[u_t],
     ))
@@ -560,10 +560,7 @@ def _entries() -> dict[str, CatalogEntry]:
         solutions=[SolutionSpec(0, QuotientSolution(
             h=g_(I_tok) * exp(J_tok)
         ))],
-        reconstruction=Reconstruction(
-            "u = −ln(C(t) − ∫₀ˣ g)",
-            lambda p: -log(C_(t) - Gx),
-        ),
+        reconstruction=Reconstruction("u = −ln(C(t) − ∫₀ˣ g)", -log(C_(t) - Gx)),
         characteristic=(0, H_tok),
         validity=[u_t],
     ))
@@ -596,11 +593,11 @@ def _entries() -> dict[str, CatalogEntry]:
         ))],
         reconstruction=Reconstruction(
             "u = ∫₀ˣ (g(s) + (1−A) t)^{1/(1−A)} ds + C(t)",
-            lambda p: _ex41_build(p),
+            formal_integral((g_(s) + (1 - A_par) * t)**(1 / (1 - A_par)), s, x) + C_(t),
         ),
         characteristic=(0, H_tok),
         parameters={"A": A_par},
-        validity=[],
+        validity=[1 - A_par],
     ))
 
     add(CatalogEntry(
@@ -662,7 +659,7 @@ def _entries() -> dict[str, CatalogEntry]:
         ))],
         reconstruction=Reconstruction(
             "u = (1/x)(∫₀ᵗ dτ/(τ − g(x+t−τ)) + C(t+x))",
-            lambda p: _disguised_build(p),
+            (formal_integral(1 / (tau - g_(x + t - tau)), tau, t) + C_(t + x)) / x,
         ),
         validity=[x],
     ))
@@ -713,31 +710,6 @@ def _entries() -> dict[str, CatalogEntry]:
     return entries
 
 
-def _ex32_build(p: dict) -> sp.Expr:
-    """The g ≡ 0 branch of the Riccati constraint."""
-    s, v = sp.symbols("s v")
-    b1 = formal("alpha1", 1)
-    b2 = formal("alpha2", 1)
-    # keep the dummy of the inner antiderivative identical to the outer
-    # one so that differentiating under the integral reproduces exp(B2)
-    B2 = formal_integral(b2(v), v, x)
-    inner = formal_integral(b2(v), v, s)
-    return 2 * exp(B2) / (C_(t) - formal_integral(b1(s) * exp(inner), s, x))
-
-
-def _ex41_build(p: dict) -> sp.Expr:
-    A = p.get("A", A_par)
-    if sp.sympify(A) == 1:
-        raise ParameterError("A = 1 is excluded (the exponent 1/(1-A) degenerates)")
-    s = Symbol("s")
-    return formal_integral((g_(s) + (1 - A) * t)**(1 / (1 - sp.sympify(A))), s, x) + C_(t)
-
-
-def _disguised_build(p: dict) -> sp.Expr:
-    tau = Symbol("tau")
-    return (formal_integral(1 / (tau - g_(x + t - tau)), tau, t) + C_(t + x)) / x
-
-
 _CATALOG: dict[str, CatalogEntry] | None = None
 
 
@@ -771,43 +743,32 @@ def verify_entry(name: str) -> VerificationReport:
     stages: list[Stage] = []
 
     for idx, X in enumerate(e.gens):
-        res = check_symmetry(X, M)
-        stages.append(Stage("symmetry", f"generator {idx + 1}",
-                            _verdict(res.verdict), res.residual))
+        stages.append(_stage("symmetry", f"generator {idx + 1}",
+                             [check_symmetry(X, M).verdict]))
 
     for inv_name, inv in e.invariants.items():
         report = check_invariant(inv, e.gens, M)
-        stages.append(Stage("invariance", inv_name,
-                            *_joint([v for _, v in report.verdicts])))
+        stages.append(_stage("invariance", inv_name, [v for _, v in report.verdicts]))
 
     fr = e.frame
-    stages.append(Stage("frame-duality", "∂̂ dual to d", *_joint(fr.duality_verdicts())))
+    stages.append(_stage("frame-duality", "∂̂ dual to d", fr.duality_verdicts()))
 
     if e.commutation_probe is not None:
-        v = check_commutation(fr, M, e.commutation_probe)
-        stages.append(Stage("commutation", str(e.commutation_probe), _verdict(v)))
+        stages.append(_stage("commutation", str(e.commutation_probe),
+                             [check_commutation(fr, M, e.commutation_probe)]))
 
     bindings = e.higher_invariants()
     for idx, s in enumerate(e.syzygies):
-        v = check_syzygy(s, fr, bindings, M)
-        stages.append(Stage("syzygy", f"#{idx + 1}", _verdict(v)))
+        stages.append(_stage("syzygy", f"#{idx + 1}", [check_syzygy(s, fr, bindings, M)]))
 
-    for idx, spec in enumerate(e.solutions):
+    for spec in e.solutions:
         s = spec.specialized_syzygy(e.syzygies)
-        v = check_quotient_solution(s, spec.solution)
-        stages.append(Stage("quotient-solution", f"syzygy #{spec.syzygy_index + 1}",
-                            _verdict(v)))
+        stages.append(_stage("quotient-solution", f"syzygy #{spec.syzygy_index + 1}",
+                             [check_quotient_solution(s, spec.solution)]))
 
     if e.reconstruction is not None:
-        params = {n: s for n, s in e.parameters.items()}
-        try:
-            u_expr = e.reconstruction.build(params)
-        except ParameterError:
-            u_expr = None
-        if u_expr is not None:
-            v = is_zero(solution_residual(e.F, u_expr))
-            stages.append(Stage("reconstruction", e.reconstruction.description[:28],
-                                _verdict(v), None if v.is_zero else v.residual))
+        stages.append(_stage("reconstruction", e.reconstruction.description[:28],
+                             [is_zero(solution_residual(e.F, e.reconstruction.u))]))
 
     return VerificationReport(name, stages)
 
@@ -841,16 +802,24 @@ def instantiate(name: str, g=None, C=None, params: dict | None = None,
 
     ``g``/``C`` are expressions in a single variable (any symbol) or
     (params, expr) pairs; entry parameters (e.g. A) come via ``params``.
+    Parameters at which a validity expression of the entry vanishes, and
+    a ``which`` outside the recorded solutions, raise ParameterError.
     """
     e = get(name)
     params = dict(params or {})
     if not e.solutions and e.reconstruction is None:
         raise ParameterError(f"entry {name!r} records no closed-form solution")
     _check_declared(e, params)
+    if e.solutions and not 0 <= which < len(e.solutions):
+        raise ParameterError(f"entry {name!r} records {len(e.solutions)} solution(s); "
+                             f"there is no solution {which}")
+    values = {e.parameters[n]: sp.sympify(val) for n, val in params.items()}
+    for cond in e.validity:
+        if exact_zero(cond.xreplace(values)):
+            at = ", ".join(f"{n} = {val}" for n, val in params.items())
+            raise ParameterError(f"{cond} vanishes at {at}")
 
     def as_binding(val, default_var):
-        if val is None:
-            return None
         if isinstance(val, tuple):
             return val
         val = sp.sympify(val)
@@ -858,37 +827,17 @@ def instantiate(name: str, g=None, C=None, params: dict | None = None,
         var = free[0] if len(free) == 1 else Symbol(default_var)
         return ((var,), val)
 
-    g_bind = as_binding(g, "w")
-    C_bind = as_binding(C, "t")
+    formals = {name: as_binding(val, var)
+               for name, val, var in (("g", g, "w"), ("C", C, "t")) if val is not None}
 
-    subs_params = {}
-    for pname, sym in e.parameters.items():
-        if pname in params:
-            subs_params[sym] = sp.sympify(params[pname])
+    def pin(expr: sp.Expr) -> sp.Expr:
+        return _bind(expr.xreplace(values), formals)
 
-    constraint = None
-    if e.solutions:
-        spec = e.solutions[min(which, len(e.solutions) - 1)]
-        constraint = e.constraint(spec)
-        constraint = constraint.xreplace(subs_params)
-        if g_bind is not None:
-            constraint = bind_formal(constraint, "g", *g_bind)
-        if C_bind is not None:
-            constraint = bind_formal(constraint, "C", *C_bind)
-
+    constraint = pin(e.constraint(e.solutions[which])) if e.solutions else None
     u_expr = verdict = None
     if e.reconstruction is not None:
-        build_params = dict(params)
-        for pname, sym in e.parameters.items():
-            build_params.setdefault(pname, sym)
-        u_expr = e.reconstruction.build(build_params)
-        if g_bind is not None:
-            u_expr = bind_formal(u_expr, "g", *g_bind)
-        if C_bind is not None:
-            u_expr = bind_formal(u_expr, "C", *C_bind)
-        u_expr = u_expr.doit()
-        F = e.F.xreplace(subs_params)
-        verdict = is_zero(solution_residual(F, u_expr))
+        u_expr = pin(e.reconstruction.u).doit()
+        verdict = is_zero(solution_residual(e.F.xreplace(values), u_expr))
 
     return Instantiation(name, constraint, u_expr, verdict)
 

@@ -421,8 +421,14 @@ def cauchy_g(t0, u0) -> sp.Expr | list[sp.Expr]:
     g_of_x = (2 - t0 * u0p)**4 / (16 * u0pp)
     # the slope map w = 2p/(2 - t0 p) is a Möbius map in p = u0'(x);
     # its inverse is p = 2w/(2 + t0 w)
-    branches = _poly_solve(u0p - 2 * w / (2 + t0 * w), x)
-    if branches is None:
+    slope = u0p - 2 * w / (2 + t0 * w)
+    branches = _poly_solve(slope, x)
+    # sp.solve is not tried on a rational slope equation whose numerator
+    # has roots that _poly_solve cannot find: it reaches for the cubic and
+    # quartic formulas there, and may not return
+    if branches is None and not (
+            slope.is_rational_function(x)
+            and _poly_solve(sp.numer(sp.cancel(sp.together(slope))), x) is None):
         branches = sp.solve(sp.Eq(2 * u0p / (2 - t0 * u0p), w), x)
     if not branches:
         raise CauchyError("could not invert the slope map symbolically; "
@@ -559,7 +565,8 @@ def transform_g(generator: str, s, g) -> sp.Expr:
     g = _in_w(g)
     s = sp.sympify(s)
     if generator == "time-translation":
-        return 16 * g.subs(w, 2 * w / (2 - s * w)) / (2 - s * w)**4
+        # reduced prefactor and argument, so the result prints in lowest terms
+        return sp.factor(16 / (2 - s * w)**4) * g.subs(w, sp.cancel(2 * w / (2 - s * w)))
     if generator == "anisotropic-scaling":
         return g.subs(w, sp.exp(-s) * w)
     if generator == "scaling":

@@ -667,7 +667,7 @@ class _Kernelizer:
     def _power(self, base: sp.Expr, expo: sp.Expr) -> sp.Expr:
         """base**expo for an exponent that is not an Integer."""
         if expo.is_Rational:
-            return self._root(self._walk(base), expo)
+            return self._root(_cancel(self._walk(base)), expo)
         # exp(a) is E**a; the symbol of E is made only for a rational part
         wbase = base if base is sp.E else self._walk(base)
         kbase = base if base is sp.E else _cancel(wbase)

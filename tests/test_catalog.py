@@ -6,6 +6,7 @@ import pytest
 import sympy as sp
 
 from jetquot import catalog
+from jetquot.cli import main
 from jetquot.catalog import (
     CharacteristicsError,
     ParameterError,
@@ -16,6 +17,8 @@ from jetquot.catalog import (
     instantiate,
     verify_entry,
 )
+from jetquot.invariants import InvarianceReport
+from jetquot.pde import SymmetryVerdict
 from jetquot.symcore import ZeroVerdict, jet, t, x
 
 u, u_x, u_xx = jet(0, 0), jet(0, 1), jet(0, 2)
@@ -68,6 +71,42 @@ def test_frame_duality_stage_reads_the_verdicts(monkeypatch, verdict, mode, resi
     assert (stage.verdict, stage.residual) == (mode, residual)
 
 
+FAILED = ZeroVerdict(False, "nonzero", expr=x)
+
+#: (stage, entry, module attribute, stand-in) making one kind of claim fail
+_FAILING_CHECKS = [
+    ("symmetry", "ex3.3", "check_symmetry", lambda X, M: SymmetryVerdict(FAILED)),
+    ("invariance", "ex3.3", "check_invariant",
+     lambda e, gens, M: InvarianceReport(e, [(X, FAILED) for X in gens])),
+    ("frame-duality", "ex3.3", None, None),
+    ("commutation", "hunter-saxton", "check_commutation", lambda fr, M, probe: FAILED),
+    ("syzygy", "ex3.3", "check_syzygy", lambda s, fr, bindings, M: FAILED),
+    ("quotient-solution", "ex3.3", "check_quotient_solution", lambda s, sol: FAILED),
+    # the Tresse frame of ex3.3 zero-tests through invariants, not catalog
+    ("reconstruction", "ex3.3", "is_zero", lambda e: FAILED),
+]
+
+
+@pytest.mark.parametrize("stage, entry, attr, stand_in", _FAILING_CHECKS,
+                         ids=[c[0] for c in _FAILING_CHECKS])
+def test_every_failing_stage_carries_its_certificate(monkeypatch, capsys, stage, entry,
+                                                     attr, stand_in):
+    if attr is None:
+        monkeypatch.setattr(type(get(entry).frame), "duality_verdicts", lambda self: [FAILED])
+    else:
+        monkeypatch.setattr(catalog, attr, stand_in)
+    failed = next(s for s in verify_entry(entry).stages if s.stage == stage)
+    assert (failed.verdict, failed.residual) == ("fail", x)
+    assert main(["verify", entry]) == 1
+    assert f"residual[{entry}/{stage}] = x" in capsys.readouterr().err
+
+
+def test_passing_stages_carry_no_certificate():
+    stages = [s for r in catalog.verify_all() for s in r.stages]
+    assert len(stages) == 182
+    assert all(s.passed and s.residual is None for s in stages)
+
+
 # ---------------------------------------------------------------------------
 # Instantiation
 # ---------------------------------------------------------------------------
@@ -93,8 +132,18 @@ def test_instantiate_ex41():
 
 
 def test_instantiate_ex41_excluded_parameter():
-    with pytest.raises(ParameterError):
+    # the rule A ≠ 1 is read from the entry's validity expression 1 - A
+    with pytest.raises(ParameterError, match="1 - A vanishes at A = 1"):
         instantiate("ex4.1", g=x, C=t, params={"A": 1})
+
+
+@pytest.mark.parametrize("which", [2, 7, -1])
+def test_instantiate_rejects_a_solution_index_out_of_range(which, capsys):
+    with pytest.raises(ParameterError):
+        instantiate("hs-3dim", which=which)
+    assert main(["catalog", "solve", "hs-3dim", "--which", str(which)]) == 1
+    assert "invalid parameters" in capsys.readouterr().err
+    assert instantiate("hs-3dim", which=1).constraint is not None
 
 
 def test_instantiate_disguised():

@@ -276,6 +276,24 @@ def test_cauchy_path_never_calls_simplify(monkeypatch, capsys):
     assert capsys.readouterr().out == "g_s(w) = exp(w + 2)\n"
 
 
+@pytest.mark.parametrize("u0", [1 / (1 + x**2), x**4 / 4 + x**2 / 2, x**2 + 1 / x])
+def test_rational_slope_equation_beyond_poly_solve_is_refused(monkeypatch, u0):
+    # sp.solve would reach for the cubic or quartic formulas here
+    def refuse(*args, **kwargs):
+        raise AssertionError("sp.solve called")
+
+    monkeypatch.setattr(sp, "solve", refuse)
+    with pytest.raises(CauchyError, match="could not invert the slope map"):
+        cauchy_g(1, u0)
+
+
+def test_cli_cauchy_refuses_a_quartic_slope_equation(capsys):
+    from jetquot import cli
+
+    assert cli.main(["hs", "cauchy", "--t0", "1", "--u0", "1/(1+x^2)"]) == 1
+    assert "cauchy inversion failed" in capsys.readouterr().err
+
+
 def test_fit_C_needs_a_closed_surface():
     with pytest.raises(CauchyError):
         fit_C(general_solution(G_EXP, 0), 1, sp.exp(-x))
@@ -378,6 +396,18 @@ def test_brentq_port_raises_as_scipy(f, kw, error):
 # ---------------------------------------------------------------------------
 # Symmetry action on g
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("g, printed", [
+    ("exp(w)", "256*exp(-4*w/(w - 4))/(w - 4)**4"),
+    ("sqrt(w)", "512*sqrt(-w/(w - 4))/(w - 4)**4"),
+])
+def test_time_translation_prints_reduced_forms(capsys, g, printed):
+    from jetquot import cli
+
+    assert cli.main(["hs", "transform", "--generator", "time-translation", "--s", "1/2",
+                     "--g", g]) == 0
+    assert capsys.readouterr().out == f"g_s(w) = {printed}\n"
 
 
 def test_transform_g_table():

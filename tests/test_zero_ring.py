@@ -186,6 +186,20 @@ def test_flattening_does_not_prove_sqrt_of_square():
     assert is_zero(sp.sqrt(x**2) - x).mode != "deterministic"
 
 
+_w = sp.Symbol("w")
+
+
+@pytest.mark.parametrize("claim, mode", [
+    (sp.sqrt(_w / (2 - _w)) - sp.sqrt(-_w / (_w - 2)), "deterministic"),
+    (sp.sqrt((_w**2 + 1) / (_w**2 + 2)) - sp.sqrt((-_w**2 - 1) / (-_w**2 - 2)),
+     "deterministic"),
+    (sp.sqrt((_w**2 + 1) / (_w**2 + 2)) - 2 * sp.sqrt((-_w**2 - 1) / (-_w**2 - 2)), "nonzero"),
+], ids=["negative radicand off [0, 2)", "signs in both parts", "twice the root"])
+def test_a_radicand_written_two_ways_is_one_kernel(claim, mode):
+    # a rational power's base is cancelled before it becomes a kernel
+    assert is_zero(claim).mode == mode
+
+
 @pytest.mark.xfail(strict=True, reason="a kernel base takes its root from the first power "
                    "walked: exp(x)**(5/3) makes exp(x)**(1/3), unrelated to exp(x)**(1/6)")
 def test_roots_of_a_kernel_base_do_not_depend_on_term_order():
