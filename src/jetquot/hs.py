@@ -565,8 +565,12 @@ def transform_g(generator: str, s, g) -> sp.Expr:
     g = _in_w(g)
     s = sp.sympify(s)
     if generator == "time-translation":
-        # reduced prefactor and argument, so the result prints in lowest terms
-        return sp.factor(16 / (2 - s * w)**4) * g.subs(w, sp.cancel(2 * w / (2 - s * w)))
+        # a reduced argument, and the prefactor factored with the factors of
+        # g that are rational in w, so the result prints in lowest terms
+        factors = sp.Mul.make_args(g.subs(w, sp.cancel(2 * w / (2 - s * w))))
+        rational = [f for f in factors if f.is_rational_function(w)]
+        rest = [f for f in factors if not f.is_rational_function(w)]
+        return sp.factor(16 / (2 - s * w)**4 * sp.Mul(*rational)) * sp.Mul(*rest)
     if generator == "anisotropic-scaling":
         return g.subs(w, sp.exp(-s) * w)
     if generator == "scaling":

@@ -25,6 +25,7 @@ from .symcore import (
     ZeroVerdict,
     _ring_leaves,
     _RingWalk,
+    _xreplace,
     differentiate,
     exact_zero,
     is_zero,
@@ -154,7 +155,7 @@ class Syzygy:
         I and J come from the frame; derivative tokens are generated by
         applying the frame derivations to the base realizations.
         """
-        return self.lhs.xreplace(realize_tokens(self.lhs, fr, bindings))
+        return _xreplace(self.lhs, realize_tokens(self.lhs, fr, bindings).get)
 
 
 def realize_tokens(e: sp.Expr, fr: TresseFrame, bindings: dict) -> dict[Symbol, sp.Expr]:
@@ -224,16 +225,17 @@ def check_quotient_solution(s: Syzygy, sol: QuotientSolution) -> ZeroVerdict:
     """Verify that a closed-form solution satisfies the syzygy identically.
 
     Works at the token level (functions of I, J and formal parameters),
-    no jet realization involved. An implicit solution need annihilate the
-    residual only modulo Φ = 0; when Φ is polynomial in the base token the
-    residual is replaced by its remainder modulo Φ.
+    no jet realization involved. An implicit solution Φ = 0 need annihilate
+    the residual only where Φ vanishes: the zero test judges, in its own
+    ring, the pseudo-remainder of the residual's numerator by Φ's in the
+    base token (``is_zero(..., modulo=(base, Φ))``), and that remainder is
+    the certificate of a verdict that is not deterministic. A Φ in which
+    the base token occurs only inside kernels (roots, formal functions,
+    exp) reduces nothing.
     """
     residual = s.lhs.xreplace(sol.token_substitution())
-    phi = None if sol.implicit is None else sp.sympify(sol.implicit)
-    if phi is not None and phi.is_polynomial(sol.base):
-        num, _ = sp.fraction(sp.together(residual))
-        _, residual = sp.div(sp.expand(num), sp.expand(phi), sol.base)
-    return is_zero(residual)
+    modulo = None if sol.implicit is None else (sol.base, sp.sympify(sol.implicit))
+    return is_zero(residual, modulo=modulo)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ from .symcore import (
     JetVar,
     SymcoreError,
     ZeroVerdict,
+    _xreplace,
     differentiate,
     is_zero,
+    jet_orders,
     jets_in,
     max_jet_order,
     t,
@@ -81,11 +83,15 @@ class PdeManifold:
     def restrict(self, e: sp.Expr) -> sp.Expr:
         """Eliminate the principal derivative and all its consequences from
         e, in one pass: every stored rhs is already restricted."""
-        e = sp.sympify(e)
         pi, pj = self.principal.t_order, self.principal.x_order
-        sub = {sym: self.rhs((i - pi, j - pj)) for sym, (i, j) in jets_in(e).items()
-               if i >= pi and j >= pj}
-        return e.xreplace(sub) if sub else e
+
+        def rule(n):
+            ij = jet_orders(n) if n.is_Symbol else None
+            if ij is not None and ij[0] >= pi and ij[1] >= pj:
+                return self.rhs((ij[0] - pi, ij[1] - pj))
+            return None
+
+        return _xreplace(sp.sympify(e), rule)
 
     def is_parametric(self, v: JetVar) -> bool:
         return not (v.t_order >= self.principal.t_order

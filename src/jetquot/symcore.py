@@ -594,6 +594,57 @@ def _free_sorted(e: sp.Expr) -> list[Symbol]:
     return sorted(e.free_symbols, key=sp.default_sort_key)
 
 
+# -- walks that visit each distinct subexpression once -----------------------
+#
+# Claims reuse restricted subexpressions, so they are DAGs with heavy
+# sharing; a walk over the tree would visit a shared node once per path.
+
+
+def _nodes(e: sp.Basic, into: Callable[[sp.Basic], bool] = lambda n: True):
+    """Each distinct subexpression of e once, a node before its args; the
+    args of a node n are walked only when ``into(n)``."""
+    stack, seen = [e], set()
+    while stack:
+        n = stack.pop()
+        if n not in seen:
+            seen.add(n)
+            yield n
+            if into(n):
+                stack.extend(n.args)
+
+
+def _free_symbols(e: sp.Basic) -> set:
+    """``e.free_symbols`` by :func:`_nodes`: an integral adds its own free
+    symbols, which leave out its bound variables."""
+    out = set()
+    for n in _nodes(e, lambda n: not isinstance(n, sp.Integral)):
+        if n.is_Symbol:
+            out.add(n)
+        elif isinstance(n, sp.Integral):
+            out |= n.free_symbols
+    return out
+
+
+def _xreplace(e: sp.Basic, rule: Callable[[sp.Basic], sp.Basic | None]) -> sp.Basic:
+    """``e.xreplace`` with ``rule(node)`` in place of a mapping (None keeps
+    the node), memoized by node: each distinct subexpression is visited
+    once, a replaced node is not walked into, and a node none of whose
+    args changed is returned itself."""
+    memo: dict[sp.Basic, sp.Basic] = {}
+
+    def walk(n):
+        out = memo.get(n)
+        if out is None:
+            out = rule(n)
+            if out is None:
+                args = [walk(a) for a in n.args]
+                out = n if all(a is b for a, b in zip(args, n.args)) else n.func(*args)
+            memo[n] = out
+        return out
+
+    return walk(e)
+
+
 # -- kernelization for normalization / zero testing -------------------------
 
 #: exp, log, atanh, formal functions, ... and formal integrals
@@ -622,6 +673,8 @@ class _Kernelizer:
         #: the exponent terms m seen for each base, one kernel base**m each
         self.terms: dict[sp.Expr, list[sp.Expr]] = {}
         self.counter = 0
+        #: each node's walk, as made on its first visit
+        self.walked: dict[sp.Expr, sp.Expr] = {}
 
     def _sym(self, kernel: sp.Expr) -> Symbol:
         if kernel not in self.table:
@@ -630,7 +683,7 @@ class _Kernelizer:
         return self.table[kernel]
 
     def scan_fracs(self, e: sp.Expr):
-        for node in sp.preorder_traversal(e):
+        for node in _nodes(e):
             if node.is_Pow and node.exp.is_Rational and not node.exp.is_Integer:
                 L = sp.ilcm(self.frac_bases.get(node.base, 1), node.exp.q)
                 self.frac_bases[node.base] = L
@@ -640,6 +693,12 @@ class _Kernelizer:
         return self._walk(e)
 
     def _walk(self, e: sp.Expr) -> sp.Expr:
+        out = self.walked.get(e)
+        if out is None:
+            out = self.walked[e] = self._rewrite(e)
+        return out
+
+    def _rewrite(self, e: sp.Expr) -> sp.Expr:
         if e.is_Atom:
             if e is sp.E:
                 return self._sym(sp.E)
@@ -657,7 +716,8 @@ class _Kernelizer:
             if expo.is_Integer:
                 return self._walk(base) ** expo
             return self._power(base, expo)
-        return e.func(*[self._walk(a) for a in e.args])
+        args = [self._walk(a) for a in e.args]
+        return e if all(a is b for a, b in zip(args, e.args)) else e.func(*args)
 
     def _canon_arg(self, a):
         if isinstance(a, sp.Tuple):
@@ -738,14 +798,13 @@ def _canon_integral_dummies(e: sp.Expr, depth: int = 0) -> sp.Expr:
     ``parse`` makes, so no free symbol is captured. Integrand factors
     free of every integration variable move outside the integral.
     """
-    e = sp.sympify(e)
-    if not e.has(sp.Integral):
-        return e
-    if isinstance(e, sp.Integral):
-        func = e.function
+    def rule(n):
+        if not isinstance(n, sp.Integral):
+            return None
+        func = n.function
         limits = []
         d = depth
-        for var, *bounds in e.limits:
+        for var, *bounds in n.limits:
             rename = {var: sp.Dummy(f"iv{d}", dummy_index=d)}
             d += 1
             func = func.xreplace(rename)
@@ -758,9 +817,8 @@ def _canon_integral_dummies(e: sp.Expr, depth: int = 0) -> sp.Expr:
         outside, func = func.as_independent(*[lim[0] for lim in limits], as_Add=False)
         return (_canon_integral_dummies(outside, depth)
                 * sp.Integral(_canon_integral_dummies(func, d), *limits))
-    if e.is_Atom:
-        return e
-    return e.func(*[_canon_integral_dummies(a, depth) for a in e.args])
+
+    return _xreplace(sp.sympify(e), rule)
 
 
 def kernelize(e: sp.Expr) -> tuple[sp.Expr, dict[sp.Expr, Symbol]]:
@@ -774,8 +832,8 @@ def unkernelize(e: sp.Expr, table: dict[sp.Expr, Symbol]) -> sp.Expr:
     """Undo a kernel table; kernels may nest, so substitute to a fixpoint."""
     inverse = {s: k for k, s in table.items()}
     for _ in range(len(table) + 1):
-        out = e.xreplace(inverse)
-        if out == e:
+        out = _xreplace(e, inverse.get)
+        if out is e:
             return out
         e = out
     return e
@@ -825,18 +883,27 @@ def exact_zero(e: sp.Expr) -> bool:
     return _stage1(sp.sympify(e)) is None
 
 
-def _stage1(e: sp.Expr) -> "_RingForm | None":
-    """None when e is provably zero, else the ring form of e."""
+def _stage1(e: sp.Expr, modulo: tuple | None = None) -> "_RingForm | None":
+    """None when e is provably zero (modulo Φ, see :func:`is_zero`), else
+    the ring form of e."""
     if e == 0:
         return None
     # align bound variables so dummy-renamed integrals share one kernel
-    form = _kernel_ring(_canon_integral_dummies(e))
+    if modulo is not None:
+        modulo = (modulo[0], _canon_integral_dummies(modulo[1]))
+    form = _kernel_ring(_canon_integral_dummies(e), modulo)
     return form if form.num else None
 
 
-def _kernel_ring(e: sp.Expr) -> "_RingForm":
+def _kernel_ring(e: sp.Expr, modulo: tuple | None = None) -> "_RingForm":
+    """e kernelized into its ring form; with ``modulo = (base, Φ)``, Φ is
+    kernelized by the same kernelizer, in one pass with e."""
     k = _Kernelizer()
-    return _ring_form(k.run(e), k.table)
+    if modulo is None:
+        return _ring_form(k.run(e), k.table)
+    base, phi = modulo
+    body, phi = k.run(sp.Tuple(e, phi))
+    return _ring_form(body, k.table, modulo=(base, phi))
 
 
 # -- stage 1 in a factored-denominator polynomial ring ------------------------
@@ -1011,15 +1078,24 @@ class _RingForm(NamedTuple):
     table: dict
 
 
-def _ring_form(body: sp.Expr, table: dict, relations: bool = True) -> _RingForm:
+def _ring_form(body: sp.Expr, table: dict, relations: bool = True,
+               modulo: tuple | None = None) -> _RingForm:
     """``body`` in the ring of its generators.
 
     The numerator is the zero polynomial exactly when body is zero as a
     rational function of its kernels, after the kernel relations (when
     ``relations``) are reduced, latest kernel first so that what a
     reduction brings in is reduced afterwards.
+
+    With ``modulo = (base, Φ)``, Φ kernelized with body, the form is that
+    of body's numerator alone (``den`` is empty), with ``raw`` its
+    pseudo-remainder by Φ's numerator in the generator ``base``, taken
+    before the relations are reduced. A Φ whose numerator is free of
+    ``base`` reduces nothing: its leading coefficient would be Φ itself.
     """
     leaves = _ring_leaves(body, set())
+    if modulo is not None:
+        _ring_leaves(modulo[1], leaves)
     plan = []
     if relations:
         for kernel, sym in reversed(table.items()):
@@ -1035,6 +1111,13 @@ def _ring_form(body: sp.Expr, table: dict, relations: bool = True) -> _RingForm:
     gens = sorted(leaves, key=lambda a: (str(a), sp.default_sort_key(a)))
     walk = _RingWalk(gens)
     raw, den = walk(body)
+    if modulo is not None:
+        base, phi = modulo
+        divisor, _ = walk(phi)
+        i = gens.index(base) if base in walk.gen else None
+        if i is not None and divisor.degree(i) > 0:
+            raw = raw.prem(divisor, i)
+        den = {}
     num = raw
     for sym, q, value in plan:
         if not num:
@@ -1317,7 +1400,8 @@ def _cancel_generator_bases(form: _RingForm) -> _RingForm:
 _MAX_RESAMPLES = 32
 
 
-def is_zero(e: sp.Expr, samples: int = 8, seed: int = _SEED) -> ZeroVerdict:
+def is_zero(e: sp.Expr, samples: int = 8, seed: int = _SEED,
+            modulo: tuple[Symbol, sp.Expr] | None = None) -> ZeroVerdict:
     """Two-stage zero test (see the module docstring).
 
     Stage 1 is the ring test of :func:`exact_zero`. Stage 2 cancels the
@@ -1327,17 +1411,27 @@ def is_zero(e: sp.Expr, samples: int = 8, seed: int = _SEED) -> ZeroVerdict:
     refutes; ``_MAX_RESAMPLES`` draws without a verdict raise
     :class:`IndeterminateZeroTest`. The verdict's ``samples`` counts the
     points drawn, rejected ones included.
+
+    ``modulo = (base, Φ)`` asks whether e vanishes where Φ = 0: both
+    stages judge the pseudo-remainder of e's numerator by Φ's in the
+    symbol ``base`` (see :func:`_ring_form`), stage 2 draws its point and
+    stand-ins for the symbols and formal functions of Φ too, and a verdict
+    that is not deterministic carries that remainder as its ``expr``.
     """
     e = sp.sympify(e)
-    form = _stage1(e)
+    form = _stage1(e, modulo)
     if form is None:
         return ZeroVerdict(True, "deterministic", expr=e)
+    scope = e if modulo is None else sp.Tuple(e, modulo[1])
+    if modulo is not None:
+        e = unkernelize(form.raw.as_expr(), form.table)
     form = _cancel_generator_bases(form)
     # only generators left in the numerator or a denominator base get a value
     used = sorted({i for p in (form.raw, *form.den) for monom in p
                    for i, n in enumerate(monom) if n})
     kernels = dict(zip(used, unkernelize(sp.Tuple(*[form.gens[i] for i in used]), form.table)))
-    nodes, symbols = e.atoms(FormalFunction), e.free_symbols
+    nodes = {n for n in _nodes(scope) if is_formal(n)}
+    symbols = _free_symbols(scope)
     rng = random.Random(seed)
     good = 0
     for attempt in range(1, _MAX_RESAMPLES + 1):

@@ -410,6 +410,14 @@ def test_time_translation_prints_reduced_forms(capsys, g, printed):
     assert capsys.readouterr().out == f"g_s(w) = {printed}\n"
 
 
+def test_time_translation_cancels_the_rational_factors_of_g(capsys):
+    from jetquot import cli
+
+    assert cli.main(["hs", "transform", "--generator", "time-translation", "--s", "1",
+                     "--g", "exp(2*w)/(1+w)"]) == 0
+    assert capsys.readouterr().out == "g_s(w) = -16*exp(-4*w/(w - 2))/((w - 2)**3*(w + 2))\n"
+
+
 def test_transform_g_table():
     s = sp.Symbol("s")
     assert sp.simplify(transform_g("scaling", s, sp.exp(w))

@@ -1,6 +1,8 @@
 """Stage 1 of is_zero: the factored-denominator polynomial ring.
 
-Covers the in-ring reductions, the refusal of undefined input, the
+Covers the in-ring reductions, the walks that visit each distinct
+subexpression once, remainders modulo an implicit quotient solution, the
+refusal of undefined input, the
 checks that normalize only failing claims, and a differential test of
 the ring against SymPy's Expr-level rational normal form over the whole
 catalog and a seeded twin of each entry's first generator and syzygy.
@@ -14,7 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetquot import catalog, symcore
-from jetquot.invariants import Syzygy, check_invariant, check_syzygy
+from jetquot.invariants import (
+    QuotientSolution,
+    Syzygy,
+    check_invariant,
+    check_quotient_solution,
+    check_syzygy,
+)
 from jetquot.jetcalc import VectorField
 from jetquot.pde import PdeManifold, check_symmetry
 from jetquot.symcore import (
@@ -110,7 +118,8 @@ def test_relations_are_needed_for_roots_and_i_only():
 def test_symbolic_exponents_are_combined_in_one_ring_pass(monkeypatch):
     passes = []
     ring = symcore._kernel_ring
-    monkeypatch.setattr(symcore, "_kernel_ring", lambda e: passes.append(e) or ring(e))
+    monkeypatch.setattr(symcore, "_kernel_ring",
+                        lambda e, modulo=None: passes.append(e) or ring(e, modulo))
     e = _unevaluated(x**a, x**b) - x ** (a + b)
     assert exact_zero(e) and len(passes) == 1
     assert not is_zero(e + DELTA * x) and len(passes) == 2
@@ -132,13 +141,13 @@ def test_ex41_stages_are_exact_without_exponent_relations(monkeypatch):
     # kernel, so no relation decides an ex4.1 claim
     decided = []
 
-    def spy(e):
-        k = _Kernelizer()
-        body = k.run(e)
-        form = _ring_form(body, k.table)
+    def spy(e, modulo=None):
+        k, body, modulo = _kernelized(e, modulo)
+        form = _ring_form(body, k.table, modulo=modulo)
         if not form.num:
             powers = any(kernel.is_Pow for kernel in k.table)
-            decided.append((powers, not _ring_form(body, k.table, relations=False).num))
+            decided.append((powers, not _ring_form(body, k.table, relations=False,
+                                                   modulo=modulo).num))
         return form
 
     monkeypatch.setattr(symcore, "_kernel_ring", spy)
@@ -207,6 +216,77 @@ def test_roots_of_a_kernel_base_do_not_depend_on_term_order():
     terms = (_unevaluated(e**sp.Rational(5, 6), e**sp.Rational(5, 6)), -e**sp.Rational(5, 3))
     assert is_zero(sp.Add(*terms, evaluate=False)).mode == "deterministic"
     assert is_zero(sp.Add(*reversed(terms), evaluate=False)).mode == "deterministic"
+
+
+# ---------------------------------------------------------------------------
+# Shared subexpressions are walked once
+# ---------------------------------------------------------------------------
+
+
+def test_kernelizer_rewrites_each_distinct_subexpression_once(monkeypatch):
+    # the realized burgers-full S_app claim reuses restricted subexpressions:
+    # about 300 distinct ones in a tree of about 22,000 nodes
+    e = catalog.get("burgers-full")
+    claim = e.manifold.restrict(e.syzygies[0].realize(e.frame, e.higher_invariants()))
+    claim = symcore._canon_integral_dummies(claim)
+    visits = []
+    rewrite = _Kernelizer._rewrite
+    monkeypatch.setattr(_Kernelizer, "_rewrite",
+                        lambda self, n: visits.append(n) or rewrite(self, n))
+    _Kernelizer().run(claim)
+    distinct = set(symcore._nodes(claim))
+    assert sum(1 for _ in sp.preorder_traversal(claim)) > 50 * len(distinct)
+    assert len(visits) == len(set(visits)) and set(visits) <= distinct
+
+
+def test_a_chain_of_shared_products_is_decided():
+    # f_k+1 = f_k*y + f_k*z: a tree of about 6*2**40 nodes over 123 distinct ones
+    y, z = sp.symbols("y z")
+    f = x
+    for _ in range(40):
+        f = f * y + f * z
+    assert exact_zero(f - x * (y + z) ** 40)
+    assert is_zero(f - x * (y + z) ** 40 + y).mode == "nonzero"
+
+
+# ---------------------------------------------------------------------------
+# Remainders modulo an implicit quotient solution
+# ---------------------------------------------------------------------------
+
+H, I_, J = sp.symbols("H I J")
+ROOT_QUOTIENT = Syzygy(4 * I_ * sp.Symbol("H_I") ** 2 - 1)
+
+
+@pytest.mark.parametrize("phi", [H**2 - I_, (H**2 - I_) * (J + 1)],
+                         ids=["monic", "non-monic leading coefficient"])
+def test_implicit_solution_is_a_zero_modulo_phi(phi):
+    verdict = check_quotient_solution(ROOT_QUOTIENT, QuotientSolution(implicit=phi))
+    assert verdict.mode == "deterministic"
+
+
+@pytest.mark.parametrize("phi", [H**2 - I_ - J / 7, (H**2 - I_) * (J + 1) + J / 5],
+                         ids=["J only in phi", "non-monic leading coefficient"])
+def test_implicit_twin_is_refuted_by_its_remainder(phi):
+    verdict = check_quotient_solution(ROOT_QUOTIENT, QuotientSolution(implicit=phi))
+    assert verdict.mode == "nonzero"
+    assert isinstance(verdict.witness, sp.Rational) and verdict.witness > 0
+    # the certificate is the remainder modulo phi, free of the base token
+    assert verdict.residual != 0 and H not in verdict.residual.free_symbols
+
+
+def test_quotient_check_never_divides_outside_the_ring(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sp.div or sp.together called")
+
+    monkeypatch.setattr(sp, "div", refuse)
+    monkeypatch.setattr(sp, "together", refuse)
+    for phi, mode in ((H**2 - I_, "deterministic"), (H**2 - I_ - J / 7, "nonzero")):
+        verdict = check_quotient_solution(ROOT_QUOTIENT, QuotientSolution(implicit=phi))
+        assert verdict.mode == mode
+    e = catalog.get("hunter-saxton")
+    spec = e.solutions[0]
+    verdict = check_quotient_solution(spec.specialized_syzygy(e.syzygies), spec.solution)
+    assert verdict.mode == "deterministic"
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +385,9 @@ def test_failing_quotient_claim_is_sampled_once(monkeypatch):
     normalized = _count_normalize(monkeypatch, [symcore, inv])
     ring = symcore._kernel_ring
 
-    def counting(e):
+    def counting(e, modulo=None):
         passes.append(e)
-        return ring(e)
+        return ring(e, modulo)
 
     monkeypatch.setattr(symcore, "_kernel_ring", counting)
     monkeypatch.setattr(inv, "is_zero", lambda e, **kw: calls.append(e) or is_zero(e, **kw))
@@ -440,11 +520,25 @@ def test_holding_claim_certificate_is_zero_without_normalize(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _ring_and_oracle(e):
-    """(ring verdict, Expr verdict) on the same kernelized body, no relations."""
+def _kernelized(e, modulo=None):
+    """(kernelizer, body, modulus) as stage 1 makes them: with a modulus
+    (base, Φ), Φ is kernelized with e and returned kernelized."""
     k = _Kernelizer()
-    body = k.run(e)
-    ring_zero = not _ring_form(body, k.table, relations=False).num
+    if modulo is None:
+        return k, k.run(e), None
+    body, phi = k.run(sp.Tuple(e, modulo[1]))
+    return k, body, (modulo[0], phi)
+
+
+def _ring_and_oracle(e, modulo=None):
+    """(ring verdict, Expr verdict) on the same kernelized body, no relations.
+    With a modulus (base, Φ) and Φ polynomial in base, the Expr side judges
+    the remainder of the body's numerator divided by Φ in base."""
+    k, body, kmodulo = _kernelized(e, modulo)
+    ring_zero = not _ring_form(body, k.table, relations=False, modulo=kmodulo).num
+    if modulo is not None and modulo[1].is_polynomial(modulo[0]):
+        num, _ = sp.fraction(sp.together(body))
+        _, body = sp.div(sp.expand(num), sp.expand(kmodulo[1]), modulo[0])
     return ring_zero, sp.cancel(sp.together(body)) == 0
 
 
@@ -471,11 +565,11 @@ def test_ring_matches_expr_normal_form_over_the_catalog(monkeypatch):
     seen = []
     original = symcore._kernel_ring
 
-    def differential(e):
-        ring_zero, expr_zero = _ring_and_oracle(e)
+    def differential(e, modulo=None):
+        ring_zero, expr_zero = _ring_and_oracle(e, modulo)
         seen.append(e)
         assert ring_zero == expr_zero, e
-        return original(e)
+        return original(e, modulo)
 
     monkeypatch.setattr(symcore, "_kernel_ring", differential)
     for name in catalog.names():
