@@ -44,7 +44,9 @@ limit at a time, never integrated symbolically. A pole, a vanishing
 denominator base, a complex value or a quadrature that misses its error
 bound rejects the sample, and another point is drawn; a SymPy function
 that is not formal has no stand-in, so its samples are all rejected and
-the test is indeterminate. :func:`normalize` is the separate, printable
+the test is indeterminate. Asked whether e vanishes where Φ = 0, both
+stages judge the pseudo-remainder of e's numerator by Φ's instead (see
+:func:`is_zero`). :func:`normalize` is the separate, printable
 rational normal form; a verdict's ``residual`` calls it when the
 certificate of a claim that is not proved zero is first read.
 """
@@ -595,9 +597,8 @@ def _free_sorted(e: sp.Expr) -> list[Symbol]:
 
 
 # -- walks that visit each distinct subexpression once -----------------------
-#
-# Claims reuse restricted subexpressions, so they are DAGs with heavy
-# sharing; a walk over the tree would visit a shared node once per path.
+# Claims reuse restricted subexpressions: a tree walk would visit a shared
+# node once per path to it.
 
 
 def _nodes(e: sp.Basic, into: Callable[[sp.Basic], bool] = lambda n: True):
@@ -682,14 +683,12 @@ class _Kernelizer:
             self.table[kernel] = Symbol(f"_k{self.counter}")
         return self.table[kernel]
 
-    def scan_fracs(self, e: sp.Expr):
+    def run(self, e: sp.Expr) -> sp.Expr:
+        # pre-scan: the lcm of the denominators of each base's rational powers
         for node in _nodes(e):
             if node.is_Pow and node.exp.is_Rational and not node.exp.is_Integer:
                 L = sp.ilcm(self.frac_bases.get(node.base, 1), node.exp.q)
                 self.frac_bases[node.base] = L
-
-    def run(self, e: sp.Expr) -> sp.Expr:
-        self.scan_fracs(e)
         return self._walk(e)
 
     def _walk(self, e: sp.Expr) -> sp.Expr:
@@ -1422,9 +1421,9 @@ def is_zero(e: sp.Expr, samples: int = 8, seed: int = _SEED,
     form = _stage1(e, modulo)
     if form is None:
         return ZeroVerdict(True, "deterministic", expr=e)
-    scope = e if modulo is None else sp.Tuple(e, modulo[1])
+    scope = e  # the point and the stand-ins cover its symbols and formal functions
     if modulo is not None:
-        e = unkernelize(form.raw.as_expr(), form.table)
+        scope, e = sp.Tuple(e, modulo[1]), unkernelize(form.raw.as_expr(), form.table)
     form = _cancel_generator_bases(form)
     # only generators left in the numerator or a denominator base get a value
     used = sorted({i for p in (form.raw, *form.den) for monom in p
