@@ -25,7 +25,8 @@ from functools import cached_property
 import sympy as sp
 from sympy.integrals.rationaltools import ratint
 
-from .symcore import EvalError, SymcoreError, compile_numeric, exact_zero, is_zero, jet, t, x
+from .symcore import (EvalError, SymcoreError, compile_numeric, differentiate, exact_zero,
+                      is_zero, jet, t, x)
 
 u_sym = jet(0, 0)
 u_x = jet(0, 1)
@@ -71,26 +72,62 @@ def constraint_G(g) -> sp.Expr:
 _UNCLOSED = (sp.Integral, sp.RootSum, sp.nan, sp.zoo, sp.oo, -sp.oo)
 
 
+def _hermite(f: sp.Expr, var: sp.Symbol) -> sp.Expr | None:
+    """The antiderivative of f ∈ QQ(var) as one fraction when it is rational,
+    else None (a log part remains, or f is not over QQ): Hermite reduction
+    with gcds alone (Bronstein, Symbolic Integration I, §2.2)."""
+    try:
+        A, D = (sp.Poly(p, var, domain=sp.QQ) for p in sp.fraction(sp.together(f)))
+    except sp.polys.polyerrors.CoercionFailed:
+        return None
+    P, A = A.div(D)
+    Dm = den = D.gcd(D.diff())
+    Ds, num = D.exquo(Dm), P.integrate() * den
+    while Dm.degree() > 0:
+        # one power off Dm: B·a + C·Dms = A with deg B < deg Dms
+        Dm2 = Dm.gcd(Dm.diff())
+        Dms = Dm.exquo(Dm2)
+        a = -(Ds * Dm.diff()).exquo(Dm)
+        B = (a.gcdex(Dms)[0] * A).rem(Dms)  # gcd(a, Dms) = 1
+        A = (A - B * a).exquo(Dms) - B.diff() * Ds.exquo(Dms)
+        num, Dm = num + B * den.exquo(Dm), Dm2
+    if not A.is_zero:
+        return None
+    num, den = num.cancel(den, include=True)
+    return num.as_expr() / den.as_expr()
+
+
 def _closed(e: sp.Integral) -> sp.Expr:
     """The moment ``e`` = ∫₀ʷ f(v) dv in closed form, or ``e`` itself if an
     infinity, a RootSum or an Integral survives.
 
-    A rational f takes its antiderivative F from ``ratint`` (Hermite
-    reduction and Lazard-Rioboo-Trager, Bronstein ch. 2) and the moment
-    is F(w) − F(0); any other f goes through ``doit``.
+    A rational f takes its antiderivative F from Hermite reduction in
+    QQ[v] (:func:`_hermite`), and from ``ratint`` only when a log part
+    remains; the moment is F(w) − F(0). Any other f goes through ``doit``.
+    The moment is not cancelled: X and U are put in canonical form once.
     """
     f, (var, lo, hi) = e.function, e.limits[0]
     if f.is_rational_function(var):
-        F = ratint(f, var)
+        F = _hermite(f, var) or ratint(f, var)
         F0 = F.subs(var, lo)
         if F0.has(*_UNCLOSED):
             return e
         out = F.subs(var, hi) - F0
     else:
         out = e.doit()
-    if out.has(*_UNCLOSED):
-        return e
-    return sp.cancel(sp.together(out))
+    return e if out.has(*_UNCLOSED) else out
+
+
+def _integrands(g: sp.Expr) -> tuple[sp.Expr, sp.Expr]:
+    """(tw+2)²g/4 and (tw+2)wg/2, the w-partials of X − C and U − C′."""
+    return (t * w + 2)**2 * g / 4, (t * w + 2) * w * g / 2
+
+
+def _check_parts(g: sp.Expr, X_part: sp.Expr, U_part: sp.Expr) -> None:
+    """Raise unless X − C and U − C′ differentiate in w to g's integrands."""
+    for part, target in zip((X_part, U_part), _integrands(g)):
+        if not is_zero(differentiate(part, w) - target):
+            raise SymcoreError("antiderivative does not differentiate to the required integrand")
 
 
 def _canonical(e: sp.Expr) -> sp.Expr:
@@ -111,7 +148,8 @@ def _moments(g: sp.Expr) -> tuple[sp.Expr, sp.Expr, sp.Expr]:
 
 @dataclass
 class ParamSolution:
-    """A Hunter-Saxton solution surface (t, w) ↦ (t, x, u)."""
+    """A Hunter-Saxton solution surface (t, w) ↦ (t, x, u). Its w-partials are the
+    canonical forms of the :func:`_integrands`, which X and U are checked against."""
 
     g: sp.Expr                       # expression in w
     C: sp.Expr                       # expression in t
@@ -136,11 +174,15 @@ class ParamSolution:
 
     @cached_property
     def X_w(self) -> sp.Expr:
-        return sp.cancel(sp.together(self.X.diff(w)))
+        return sp.cancel(sp.together(_integrands(self.g)[0]))
 
     @cached_property
     def U_w(self) -> sp.Expr:
-        return sp.cancel(sp.together(self.U.diff(w)))
+        return sp.cancel(sp.together(_integrands(self.g)[1]))
+
+    @cached_property
+    def X_ww(self) -> sp.Expr:
+        return sp.cancel(sp.together(_integrands(self.g)[0].diff(w)))
 
     @cached_property
     def X_t(self) -> sp.Expr:
@@ -149,10 +191,6 @@ class ParamSolution:
     @cached_property
     def U_t(self) -> sp.Expr:
         return self.U.diff(t)
-
-    def slope_residual(self) -> sp.Expr:
-        """U_w/X_w − 2w/(tw+2); zero wherever the surface is immersed."""
-        return sp.cancel(sp.together(self.U_w / self.X_w - 2 * w / (t * w + 2)))
 
     # -- jets of the reconstructed u(t, x) ------------------------------------
 
@@ -226,6 +264,7 @@ def general_solution(g, C, validity: tuple = ()) -> ParamSolution:
          else sp.cancel(sp.together(X)))
     U = (sp.Integral((t * v + 2) * v * gv, (v, 0, w)) / 2 if U.has(sp.Integral)
          else sp.cancel(sp.together(U)))
+    _check_parts(g, X, U)
     degenerate = exact_zero(g)
     conds = tuple(sp.sympify(c) for c in validity)
     return ParamSolution(g, C, X + C, U + C.diff(t), conds, degenerate)
@@ -240,11 +279,7 @@ def closed_form_solution(g, C, X_part, U_part, validity: tuple = ()) -> ParamSol
     """
     g, C = _in_w(g), sp.sympify(C)
     X_part, U_part = sp.sympify(X_part), sp.sympify(U_part)
-    for part, target in ((X_part, (t * w + 2)**2 * g / 4),
-                         (U_part, (t * w + 2) * w * g / 2)):
-        if not is_zero(part.diff(w) - target):
-            raise SymcoreError("supplied antiderivative does not differentiate "
-                               "to the required integrand")
+    _check_parts(g, X_part, U_part)
     return ParamSolution(g, C, X_part + C, U_part + C.diff(t),
                          tuple(sp.sympify(c) for c in validity))
 
@@ -456,7 +491,11 @@ def fit_C(sol: ParamSolution, t0, u0, w_end=0, side="-") -> sp.Expr:
     t0, u0 = sp.sympify(t0), sp.sympify(u0)
     X_part, U_part = sol.X - sol.C, sol.U - sol.C.diff(t)
 
-    end = sp.limit(U_part, w, sp.sympify(w_end), side)
+    w_end, end = sp.sympify(w_end), None
+    if w_end.is_finite and U_part.is_rational_function(w):  # its value, where continuous
+        num, den = (p.subs(w, w_end) for p in sp.fraction(sp.together(U_part)))
+        end = None if exact_zero(den) else num / den
+    end = sp.limit(U_part, w, w_end, side) if end is None else end
     if end.has(sp.oo, -sp.oo, sp.zoo, sp.nan):
         raise CauchyError(f"u does not approach a finite value as w -> {w_end}{side}")
     Cp = -end
@@ -505,7 +544,7 @@ def singular_curve(sol: ParamSolution, times, w_window=(-40.0, -1e-3),
     at which |X_w| falls below ``zero_tol``.
     """
     xw_f = compile_numeric(sol.X_w, (t, w))
-    xww_f = compile_numeric(sp.cancel(sp.together(sol.X_w.diff(w))), (t, w))
+    xww_f = compile_numeric(sol.X_ww, (t, w))
     samples = []
     lo, hi = map(float, w_window)
     step = (hi - lo) / max(n - 1, 1)

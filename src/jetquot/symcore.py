@@ -247,7 +247,7 @@ def bind_formal(e: sp.Expr, name: str, params: Sequence[Symbol], expr: sp.Expr) 
     (d^k/dw^k exp(w))|_{w=a}. Each partial is differentiated once, and
     the arguments replace the parameters in one simultaneous ``xreplace``.
     """
-    return _bind(e, {name: (tuple(params), expr)})
+    return _bind(e, {name: (tuple(params), sp.sympify(expr))})
 
 
 def _bind(e: sp.Expr, bindings: Mapping[str, tuple[tuple, sp.Expr]]) -> sp.Expr:
@@ -1470,7 +1470,8 @@ def compile_numeric(expr: sp.Expr, args: Sequence[Symbol]) -> Callable[..., floa
     integrals = sorted(expr.atoms(sp.Integral), key=sp.default_sort_key)
     slots = tuple(Symbol(f"_quad{k}") for k in range(len(integrals)))
     quads = [_quadrature(integral, args) for integral in integrals]
-    f = sp.lambdify(args + slots, expr.xreplace(dict(zip(integrals, slots))), "math")
+    f = sp.lambdify(args + slots, expr.xreplace(dict(zip(integrals, slots))), "math",
+                    docstring_limit=0)
     unnamed = [n for n in f.__code__.co_names
                if n not in f.__globals__ and not hasattr(builtins, n)]
     if unnamed:

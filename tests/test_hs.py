@@ -28,7 +28,7 @@ from jetquot.hs import (
     u_x_of_w,
 )
 from jetquot.pde import solution_residual
-from jetquot.symcore import is_zero, jet, t, x
+from jetquot.symcore import SymcoreError, is_zero, jet, t, x
 
 w = sp.Symbol("w")
 u_x, u_xx = jet(0, 1), jet(0, 2)
@@ -68,7 +68,8 @@ def test_constraint_form():
 def test_slope_identity_property(n, d):
     g = sp.Rational(n, d) * w**2 + 1
     sol = general_solution(g, t**2)
-    assert sp.cancel(sol.slope_residual()) == 0
+    # U_w/X_w = 2w/(tw+2), read off the antiderivatives themselves
+    assert is_zero(sol.U.diff(w) * (t * w + 2) - 2 * w * sol.X.diff(w)).mode == "deterministic"
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +79,12 @@ def test_slope_identity_property(n, d):
 
 def test_general_solution_exact_residual():
     sol = general_solution(sp.exp(w), sp.Integer(0))
-    assert sp.cancel(sp.together(sol.hs_residual_expr())) == 0
+    assert is_zero(sol.hs_residual_expr()).mode == "deterministic"
 
 
 def test_general_solution_polynomial_g():
     sol = general_solution(w * (1 + w) * (1 - w), sp.Integer(0))
-    assert sp.cancel(sp.together(sol.hs_residual_expr())) == 0
+    assert is_zero(sol.hs_residual_expr()).mode == "deterministic"
     rep = residual(sol, grid([0.3, 0.9], [-0.5, 0.4]), method="exact")
     assert rep.max_residual < 1e-12
 
@@ -92,15 +93,42 @@ def test_reconstructed_jets_solve_hs_symbolically():
     sol = general_solution(sp.exp(w), t**2)
     j = sol.jets
     # the defining relations: u_x matches the slope, u_t from the chain rule
-    assert sp.cancel(sp.together(j["u_tx"] + j["u"] * j["u_xx"]
-                                 + j["u_x"] ** 2 / 2)) == 0
+    assert is_zero(j["u_tx"] + j["u"] * j["u_xx"] + j["u_x"] ** 2 / 2).mode == "deterministic"
 
 
 def test_closed_form_solution_checks_antiderivatives():
     sol = closed_form_solution(G_EXP, C_EXP, XP_EXP, UP_EXP)
-    assert sp.cancel(sp.together(sol.hs_residual_expr())) == 0
+    assert is_zero(sol.hs_residual_expr()).mode == "deterministic"
     with pytest.raises(Exception):
         closed_form_solution(G_EXP, C_EXP, XP_EXP + w, UP_EXP)
+
+
+@pytest.mark.parametrize("g", [sp.exp(w), 8 / (2 + w) ** 4], ids=["exp", "quartic"])
+def test_general_solution_checks_its_antiderivatives(g, monkeypatch):
+    # a moment off by w no longer differentiates to its integrand
+    calls, closed = [], hs._closed
+    monkeypatch.setattr(hs, "_closed",
+                        lambda e: calls.append(e) or closed(e) + (w if len(calls) == 2 else 0))
+    with pytest.raises(SymcoreError):
+        general_solution(g, 0)
+
+
+@pytest.mark.parametrize("g, same_form", [(sp.exp(w), True), (8 / (2 + w) ** 4, True),
+                                           (1 / (1 + w**2), True), (sp.sqrt(w + 3), False),
+                                           (None, True)],
+                         ids=["exp", "quartic", "atan", "sqrt", "closed-form"])
+def test_partials_are_the_forms_of_the_antiderivatives(g, same_form):
+    # the partials taken from the integrand are the canonical forms of the
+    # partials of X and U. For sqrt(w + 3) the first partials differ in form
+    # only: from X, cancel keeps sqrt(w + 3) in the denominator; from the
+    # integrand, the form is a polynomial in sqrt(w + 3)
+    sol = (closed_form_solution(G_EXP, C_EXP, XP_EXP, UP_EXP) if g is None
+           else general_solution(g, t**2))
+    X_w = sp.cancel(sp.together(sol.X.diff(w)))
+    U_w = sp.cancel(sp.together(sol.U.diff(w)))
+    assert sol.X_ww == sp.cancel(sp.together(X_w.diff(w)))
+    for ours, theirs in ((sol.X_w, X_w), (sol.U_w, U_w)):
+        assert ours == theirs if same_form else is_zero(ours - theirs).mode == "deterministic"
 
 
 @pytest.mark.parametrize("g", [sp.exp(w), sp.exp(t * w)],
@@ -139,21 +167,57 @@ def test_surface_is_linear_in_the_comparison_moments(g):
 @pytest.mark.parametrize("g", [8 / (2 + w) ** 4, 1 / (w + 1), 1 / (w**2 + 1), G_EXP],
                          ids=["quartic", "log", "atan", "divergent"])
 def test_rational_moments_match_the_general_integrator(g, monkeypatch):
-    # a rational integrand's antiderivative comes from ratint, and each
-    # moment equals what Integral.doit() gives
-    used, ratint = [], hs.ratint
-    monkeypatch.setattr(hs, "ratint", lambda f, var: used.append(f) or ratint(f, var))
+    # no rational moment reaches Integral.doit, ratint is used only for a
+    # moment with a log part, and each moment equals what doit gives
     v = sp.Symbol("v")
-    for k in range(3):
-        moment = sp.Integral(v**k * g.subs(w, v), (v, 0, w))
-        closed = hs._closed(moment)
+    moments = [sp.Integral(v**k * g.subs(w, v), (v, 0, w)) for k in range(3)]
+    expected = [moment.doit() for moment in moments]
+    logs = [m.function for m in moments if hs.ratint(m.function, v).has(sp.log, sp.atan)]
+    used, ratint = [], hs.ratint
+
+    def refuse(self, **hints):
+        raise AssertionError(f"{self} reached Integral.doit")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hs, "ratint", lambda f, var: used.append(f) or ratint(f, var))
+        patch.setattr(sp.Integral, "doit", refuse)
+        closed = [hs._closed(moment) for moment in moments]
+    assert used == logs
+    for k, (moment, got, ref) in enumerate(zip(moments, closed, expected)):
         if g == G_EXP and k == 0:
             # ∫₀ʷ diverges at 0: the Integral is kept
-            assert closed == moment
+            assert got == moment
             continue
-        assert not closed.has(sp.Integral)
-        assert is_zero(closed - moment.doit()).mode == "deterministic"
-    assert len(used) == 3
+        assert not got.has(sp.Integral)
+        assert is_zero(got - ref).mode == "deterministic"
+
+
+def _squarefree_factors():
+    v = sp.Symbol("v")
+    linear = st.integers(-3, 3).map(lambda a: v - a)
+    quadratic = st.sampled_from([v**2 + 1, v**2 + 2, v**2 + v + 1, v**2 - 2])
+    return st.lists(st.tuples(st.one_of(linear, quadratic), st.integers(1, 3)),
+                    min_size=1, max_size=3, unique_by=lambda fm: fm[0])
+
+
+def _polynomials(degree: int):
+    v = sp.Symbol("v")
+    return st.lists(st.integers(-4, 4), min_size=1, max_size=degree + 1).map(
+        lambda cs: sum(c * v**k for k, c in enumerate(cs)))
+
+
+@given(_squarefree_factors(), _polynomials(5), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_hermite_reduction_property(factors, numerator, derivative):
+    # on QQ integrands with repeated factors: the antiderivative
+    # differentiates back exactly, and None means a log part remains
+    v = sp.Symbol("v")
+    den = sp.Mul(*[f**m for f, m in factors])
+    f = sp.diff(numerator / den, v) if derivative else numerator / den
+    F = hs._hermite(f, v)
+    assert (F is None) == hs.ratint(f, v).has(sp.log, sp.atan)
+    if F is not None:
+        assert is_zero(F.diff(v) - f).mode == "deterministic"
 
 
 def test_degenerate_g_is_flagged():

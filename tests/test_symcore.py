@@ -131,6 +131,13 @@ def test_bind_formal_derivatives():
     assert sp.simplify(bound - (sp.exp(2 * t) + 4 * sp.exp(2 * t**2))) == 0
 
 
+def test_bind_formal_binds_a_python_number():
+    w = sp.Symbol("w")
+    g = formal("g")
+    gp = formal("g", 1, (1,))
+    assert bind_formal(g(t) + t * gp(x), "g", (w,), 0) == 0
+
+
 def test_formal_integral_fundamental_theorem():
     v, w = sp.symbols("v w")
     g = formal("g")
