@@ -192,7 +192,7 @@ def test_rational_moments_match_the_general_integrator(g, monkeypatch):
         assert is_zero(got - ref).mode == "deterministic"
 
 
-def _squarefree_factors():
+def _factorizations():
     v = sp.Symbol("v")
     linear = st.integers(-3, 3).map(lambda a: v - a)
     quadratic = st.sampled_from([v**2 + 1, v**2 + 2, v**2 + v + 1, v**2 - 2])
@@ -206,7 +206,7 @@ def _polynomials(degree: int):
         lambda cs: sum(c * v**k for k, c in enumerate(cs)))
 
 
-@given(_squarefree_factors(), _polynomials(5), st.booleans())
+@given(_factorizations(), _polynomials(5), st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_hermite_reduction_property(factors, numerator, derivative):
     # on QQ integrands with repeated factors: the antiderivative
