@@ -19,6 +19,8 @@ import sympy as sp
 from sympy import Symbol, exp, log
 
 from .invariants import (
+    Frame,
+    FrameRing,
     H_tok,
     I_tok,
     InvariantDerivation,
@@ -74,26 +76,16 @@ class ParameterError(SymcoreError):
     pass
 
 
-class SingleFrame:
-    """Frame of a quotient with a single independent invariant.
-
-    Mimics the parts of :class:`TresseFrame` that token realization
-    needs; only the derivation dual to I exists.
-    """
+class SingleFrame(Frame):
+    """Frame of a quotient with a single independent invariant: only the
+    derivation dual to I, α D_t + β D_x, exists."""
 
     def __init__(self, I: sp.Expr, alpha: sp.Expr, beta: sp.Expr, M: PdeManifold):
-        self.I = sp.sympify(I)
-        self.J = None
-        self.M = M
-        self.d_I = InvariantDerivation(alpha, beta, M)
-
-    def derivation(self, which: str) -> InvariantDerivation:
-        if which != "I":
-            raise SymcoreError("this frame has a single derivation")
-        return self.d_I
-
-    def duality_verdicts(self) -> list[ZeroVerdict]:
-        return [is_zero(self.d_I(self.I) - 1)]
+        self.I, self.J, self.M = sp.sympify(I), None, M
+        self.ring = R = FrameRing(M)
+        self.d_I = InvariantDerivation(R.restricted(alpha), R.restricted(beta), R)
+        self.derivations = {"I": self.d_I}
+        self.duals = [(self.d_I, R.restricted(self.I), 1)]
 
     def duality_residuals(self) -> list[sp.Expr]:
         return [v.residual for v in self.duality_verdicts()]

@@ -72,10 +72,11 @@ def constraint_G(g) -> sp.Expr:
 _UNCLOSED = (sp.Integral, sp.RootSum, sp.nan, sp.zoo, sp.oo, -sp.oo)
 
 
-def _hermite(f: sp.Expr, var: sp.Symbol) -> sp.Expr | None:
-    """The antiderivative of f ∈ QQ(var) as one fraction when it is rational,
-    else None (a log part remains, or f is not over QQ): Hermite reduction
-    with gcds alone (Bronstein, Symbolic Integration I, §2.2)."""
+def _hermite(f: sp.Expr, var: sp.Symbol) -> tuple[sp.Expr, sp.Poly, sp.Poly] | None:
+    """(R, A, S) with ∫f = R + ∫A/S for f ∈ QQ(var), R a rational function
+    and S squarefree, or None when f is not over QQ: Hermite reduction with
+    gcds alone (Bronstein, Symbolic Integration I, §2.2). A is zero when
+    the antiderivative is rational."""
     try:
         A, D = (sp.Poly(p, var, domain=sp.QQ) for p in sp.fraction(sp.together(f)))
     except sp.polys.polyerrors.CoercionFailed:
@@ -91,10 +92,8 @@ def _hermite(f: sp.Expr, var: sp.Symbol) -> sp.Expr | None:
         B = (a.gcdex(Dms)[0] * A).rem(Dms)  # gcd(a, Dms) = 1
         A = (A - B * a).exquo(Dms) - B.diff() * Ds.exquo(Dms)
         num, Dm = num + B * den.exquo(Dm), Dm2
-    if not A.is_zero:
-        return None
     num, den = num.cancel(den, include=True)
-    return num.as_expr() / den.as_expr()
+    return num.as_expr() / den.as_expr(), A, Ds
 
 
 def _closed(e: sp.Integral) -> sp.Expr:
@@ -102,13 +101,21 @@ def _closed(e: sp.Integral) -> sp.Expr:
     infinity, a RootSum or an Integral survives.
 
     A rational f takes its antiderivative F from Hermite reduction in
-    QQ[v] (:func:`_hermite`), and from ``ratint`` only when a log part
-    remains; the moment is F(w) − F(0). Any other f goes through ``doit``.
-    The moment is not cancelled: X and U are put in canonical form once.
+    QQ[v] (:func:`_hermite`), and from ``ratint`` when a log part ∫A/S
+    remains, unless S/gcd(A, S) has an irreducible factor of degree ≥ 3
+    over QQ: its real form is a RootSum or costs ``ratint`` minutes, so the
+    moment is kept for quadrature. The moment is F(w) − F(0). Any other f
+    goes through ``doit``. X and U are put in canonical form once.
     """
     f, (var, lo, hi) = e.function, e.limits[0]
     if f.is_rational_function(var):
-        F = _hermite(f, var) or ratint(f, var)
+        parts = _hermite(f, var)
+        if parts is not None and parts[1].is_zero:
+            F = parts[0]
+        elif parts is not None and _cubic_log(*parts[1:]):
+            return e
+        else:
+            F = ratint(f, var)
         F0 = F.subs(var, lo)
         if F0.has(*_UNCLOSED):
             return e
@@ -116,6 +123,11 @@ def _closed(e: sp.Integral) -> sp.Expr:
     else:
         out = e.doit()
     return e if out.has(*_UNCLOSED) else out
+
+
+def _cubic_log(A: sp.Poly, S: sp.Poly) -> bool:
+    """∫A/S has a denominator with an irreducible factor of degree ≥ 3."""
+    return any(p.degree() >= 3 for p, _ in S.exquo(S.gcd(A)).factor_list()[1])
 
 
 def _integrands(g: sp.Expr) -> tuple[sp.Expr, sp.Expr]:

@@ -5,6 +5,13 @@ Syzygies are written over *token* symbols: I, J, the higher invariants
 turned back into a jet expression by substituting each token's
 realization on the equation manifold; derivative tokens are produced by
 applying the frame's dual derivations.
+
+A frame computes in its own differential ring (:class:`FrameRing`): a
+fraction ring over ZZ whose generators are t, x, the parametric jets and
+the kernels, with D_t and D_x restricted to the manifold. Frame
+construction, token realization, duality, commutation and syzygy claims
+stay in that ring and reach the zero test as ring elements; no
+expression is built on the way.
 """
 
 from __future__ import annotations
@@ -18,17 +25,19 @@ from dataclasses import dataclass, field
 import sympy as sp
 from sympy import Symbol
 
-from .jetcalc import Dt, Dx, VectorField, apply_prolonged
+from .jetcalc import VectorField, apply_prolonged, total_leaf
 from .pde import PdeManifold
 from .symcore import (
+    _KERNELS,
+    JetVar,
     SymcoreError,
     ZeroVerdict,
-    _ring_leaves,
-    _RingWalk,
+    _Derivation,
+    _DiffRing,
     _xreplace,
     differentiate,
-    exact_zero,
     is_zero,
+    jet_orders,
 )
 
 # Token symbols for writing syzygies. First-order derivative tokens are
@@ -49,62 +58,103 @@ class DegenerateFrameError(SymcoreError):
     """The wedge of the two horizontal differentials vanishes identically."""
 
 
-class InvariantDerivation:
-    """A derivation α D_t + β D_x followed by restriction to the manifold."""
+class FrameRing(_DiffRing):
+    """The differential ring of a frame on the manifold M: D_t and D_x
+    take the total derivative's values on t, x and the jets, and a
+    principal jet is not a generator but its rhs, walked from
+    ``M.rhs((0, 0))`` once and derived from its lower neighbour, t first,
+    as ``PdeManifold.rhs`` makes it; so both are restricted to M."""
 
-    def __init__(self, alpha: sp.Expr, beta: sp.Expr, M: PdeManifold):
-        self.alpha = sp.sympify(alpha)
-        self.beta = sp.sympify(beta)
+    def __init__(self, M: PdeManifold):
+        super().__init__()
         self.M = M
+        self.Dt = _Derivation(self, total_leaf("t", M.cap))
+        self.Dx = _Derivation(self, total_leaf("x", M.cap))
+        self.rhs_forms = {(0, 0): self.walk(M.rhs((0, 0)))}
+        #: token realizations, keyed by (jet expression of the stem, derivation word)
+        self.tokens: dict[tuple, tuple] = {}
+
+    def substitute(self, sym):
+        ij = jet_orders(sym) if sym.is_Symbol else None
+        if ij is None or self.M.is_parametric(JetVar(*ij)):
+            return None
+        p = self.M.principal
+        return self._rhs((ij[0] - p.t_order, ij[1] - p.x_order))
+
+    def _rhs(self, offset: tuple[int, int]):
+        out = self.rhs_forms.get(offset)
+        if out is None:
+            i, j = offset
+            if i > 0:
+                out = self.Dt(self._rhs((i - 1, j)))
+            else:
+                out = self.Dx(self._rhs((i, j - 1)))
+            self.rhs_forms[offset] = out
+        return out
+
+    def restricted(self, e: sp.Expr):
+        """The element of a jet expression on the manifold."""
+        return self.walk(self.M.restrict(sp.sympify(e)))
+
+
+class InvariantDerivation:
+    """α D_t + β D_x on a frame's ring, α and β elements of it."""
+
+    def __init__(self, alpha, beta, ring: FrameRing):
+        self.alpha, self.beta, self.ring = alpha, beta, ring
+
+    def element(self, p):
+        """The derivative of an element of the ring."""
+        R = self.ring
+        return R.add(R.mul(self.alpha, R.Dt(p)), R.mul(self.beta, R.Dx(p)))
 
     def apply(self, e: sp.Expr) -> sp.Expr:
-        """The restricted derivative, in no normal form: the zero test
-        reduces it once, in the ring."""
-        return self.M.restrict(
-            self.alpha * Dt(e, self.M.cap) + self.beta * Dx(e, self.M.cap)
-        )
-
-    def __call__(self, e: sp.Expr) -> sp.Expr:
-        return self.apply(e)
+        """The derivative of a jet expression on the manifold, computed in
+        the ring and unkernelized."""
+        return self.ring.expr(self.element(self.ring.restricted(e)))
 
 
-class TresseFrame:
+class Frame:
+    """What token realization and the frame checks need: the ``ring``, the
+    invariants ``I`` and ``J`` (None for a single derivation) on the
+    manifold ``M``, the ``derivations`` by name, and the ``duals``
+    (derivation, invariant element, value) of the duality identities."""
+
+    def derivation(self, which: str) -> InvariantDerivation:
+        if which not in self.derivations:
+            raise SymcoreError(f"no derivation {which!r} in this frame")
+        return self.derivations[which]
+
+    def duality_verdicts(self) -> list[ZeroVerdict]:
+        R = self.ring
+        return [is_zero(R.claim(R.add(d.element(f), R.walk(-c)))) for d, f, c in self.duals]
+
+
+class TresseFrame(Frame):
     """Dual derivations ∂̂_I, ∂̂_J of a pair of invariants (I, J).
 
     With It = D_t(I)|_E etc., the dual frame of (dI, dJ) is
         ∂̂_I = (Jx D_t − Jt D_x)/Δ,   ∂̂_J = (−Ix D_t + It D_x)/Δ,
-    where Δ = It Jx − Ix Jt must not vanish identically.
+    where Δ = It Jx − Ix Jt must not vanish identically: the frame is
+    degenerate when the numerator of Δ in the ring is zero.
     """
 
     def __init__(self, I: sp.Expr, J: sp.Expr, M: PdeManifold):
-        self.I = sp.sympify(I)
-        self.J = sp.sympify(J)
-        self.M = M
-        It, Ix = M.restrict(Dt(self.I, M.cap)), M.restrict(Dx(self.I, M.cap))
-        Jt, Jx = M.restrict(Dt(self.J, M.cap)), M.restrict(Dx(self.J, M.cap))
-        det = It * Jx - Ix * Jt
-        if exact_zero(det):
-            raise DegenerateFrameError(
-                f"horizontal differentials of {self.I} and {self.J} are "
-                f"dependent on the equation manifold"
-            )
+        self.I, self.J, self.M = sp.sympify(I), sp.sympify(J), M
+        self.ring = R = FrameRing(M)
+        i, j = R.restricted(self.I), R.restricted(self.J)
+        R.tokens[self.I, ""], R.tokens[self.J, ""] = i, j
+        It, Ix, Jt, Jx = R.Dt(i), R.Dx(i), R.Dt(j), R.Dx(j)
+        det = R.add(R.mul(It, Jx), R.neg(R.mul(Ix, Jt)))
+        if not R.lift(det)[0]:
+            raise DegenerateFrameError(f"horizontal differentials of {self.I} and {self.J} "
+                                       f"are dependent on the equation manifold")
         self.det = det
-        self.d_I = InvariantDerivation(Jx / det, -Jt / det, M)
-        self.d_J = InvariantDerivation(-Ix / det, It / det, M)
-
-    def derivation(self, which: str) -> InvariantDerivation:
-        if which == "I":
-            return self.d_I
-        if which == "J":
-            return self.d_J
-        raise SymcoreError(f"no derivation {which!r}")
-
-    def duality_verdicts(self) -> list[ZeroVerdict]:
-        """Zero tests of ∂̂_I(I) = 1, ∂̂_I(J) = 0, ∂̂_J(I) = 0 and
-        ∂̂_J(J) = 1 on the manifold."""
-        pairs = [(self.d_I, self.I, 1), (self.d_I, self.J, 0),
-                 (self.d_J, self.I, 0), (self.d_J, self.J, 1)]
-        return [is_zero(d(f) - c) for d, f, c in pairs]
+        inv = R._invert(R.lift(det))
+        self.d_I = InvariantDerivation(R.mul(Jx, inv), R.neg(R.mul(Jt, inv)), R)
+        self.d_J = InvariantDerivation(R.neg(R.mul(Ix, inv)), R.mul(It, inv), R)
+        self.derivations = {"I": self.d_I, "J": self.d_J}
+        self.duals = [(self.d_I, i, 1), (self.d_I, j, 0), (self.d_J, i, 0), (self.d_J, j, 1)]
 
     def duality_residuals(self) -> list[sp.Expr]:
         """The certificates of the duality identities."""
@@ -131,10 +181,18 @@ def check_invariant(e: sp.Expr, gens: list[VectorField], M: PdeManifold) -> Inva
                                 for X in gens])
 
 
-def check_commutation(fr: TresseFrame, M: PdeManifold, probe: sp.Expr) -> ZeroVerdict:
-    """Zero-test [∂̂_I, ∂̂_J](probe) on the manifold."""
-    lhs = fr.d_I(fr.d_J(probe)) - fr.d_J(fr.d_I(probe))
-    return is_zero(M.restrict(lhs))
+def _on_frame(fr: Frame, M: PdeManifold | None) -> FrameRing:
+    if M is not None and M is not fr.M:
+        raise SymcoreError("a frame's claims are checked on the frame's own manifold")
+    return fr.ring
+
+
+def check_commutation(fr: Frame, M: PdeManifold, probe: sp.Expr) -> ZeroVerdict:
+    """Zero-test [∂̂_I, ∂̂_J](probe) on the manifold M of the frame."""
+    R = _on_frame(fr, M)
+    p = R.restricted(probe)
+    lhs = R.add(fr.d_I.element(fr.d_J.element(p)), R.neg(fr.d_J.element(fr.d_I.element(p))))
+    return is_zero(R.claim(lhs))
 
 
 # ---------------------------------------------------------------------------
@@ -148,48 +206,62 @@ class Syzygy:
 
     lhs: sp.Expr
 
-    def realize(self, fr: TresseFrame, bindings: dict) -> sp.Expr:
-        """Substitute jet realizations for every token.
 
-        ``bindings`` maps base tokens (H, K, ...) to jet expressions;
-        I and J come from the frame; derivative tokens are generated by
-        applying the frame derivations to the base realizations.
-        """
-        return _xreplace(self.lhs, realize_tokens(self.lhs, fr, bindings).get)
+def _token_elements(e: sp.Expr, fr: Frame, bindings: dict) -> dict[Symbol, tuple]:
+    """The ring element of each token of e, by name length, then name:
+    ``bindings`` maps base tokens (H, K, ...) to jet expressions, I and J
+    come from the frame, and a derivative token is the frame derivation
+    of its parent token. Each is realized once per frame."""
+    R = fr.ring
+    base = {Symbol(k) if isinstance(k, str) else k: sp.sympify(v) for k, v in bindings.items()}
+    base.setdefault(I_tok, fr.I)
+    if fr.J is not None:
+        base.setdefault(J_tok, fr.J)
 
-
-def realize_tokens(e: sp.Expr, fr: TresseFrame, bindings: dict) -> dict[Symbol, sp.Expr]:
-    base = {Symbol(k) if isinstance(k, str) else k: fr.M.restrict(sp.sympify(v))
-            for k, v in bindings.items()}
-    base.setdefault(I_tok, fr.M.restrict(fr.I))
-    if getattr(fr, "J", None) is not None:
-        base.setdefault(J_tok, fr.M.restrict(fr.J))
-    cache = dict(base)
-
-    def realization(sym: Symbol) -> sp.Expr:
-        if sym in cache:
-            return cache[sym]
-        split = _split_token(sym)
-        if split is None:
-            raise SymcoreError(f"token {sym} has no jet realization")
-        stem, derivs = split
-        parent = realization(Symbol(stem if len(derivs) == 1 else f"{stem}_{derivs[0]}"))
-        out = fr.derivation(derivs[-1])(parent)
-        cache[sym] = out
+    def realization(stem: Symbol, word: str):
+        if stem not in base:
+            raise SymcoreError(f"token {stem} has no jet realization")
+        key = (base[stem], word)
+        out = R.tokens.get(key)
+        if out is None:
+            if word:
+                out = fr.derivation(word[-1]).element(realization(stem, word[:-1]))
+            else:
+                out = R.restricted(base[stem])
+            R.tokens[key] = out
         return out
 
     out = {}
     for sym in sorted(e.free_symbols, key=lambda s: (len(s.name), s.name)):
-        if sym in base or _split_token(sym) is not None:
-            out[sym] = realization(sym)
+        split = (sym.name, "") if sym in base else _split_token(sym)
+        if split is not None:
+            out[sym] = realization(Symbol(split[0]), split[1])
     return out
 
 
-def check_syzygy(s: Syzygy, fr: TresseFrame, bindings: dict,
+def realize_tokens(e: sp.Expr, fr: Frame, bindings: dict) -> dict[Symbol, sp.Expr]:
+    """The jet realization of each token of e on the frame's manifold."""
+    return {sym: fr.ring.expr(r) for sym, r in _token_elements(e, fr, bindings).items()}
+
+
+def check_syzygy(s: Syzygy, fr: Frame, bindings: dict,
                  M: PdeManifold | None = None) -> ZeroVerdict:
-    """Realize the syzygy on the manifold and zero-test it."""
-    M = M or fr.M
-    return is_zero(M.restrict(s.realize(fr, bindings)))
+    """Realize the syzygy in the frame's ring and zero-test it.
+
+    A token outside every kernel takes its ring element; inside a kernel
+    (a formal function, exp, a power) it takes its realization as an
+    expression, and the kernel is walked into the ring.
+    """
+    R = _on_frame(fr, M)
+    tokens = _token_elements(s.lhs, fr, bindings)
+
+    def inside(n):
+        if not (isinstance(n, _KERNELS) or (n.is_Pow and not n.exp.is_Integer)):
+            return None
+        held = n.free_symbols & tokens.keys()
+        return n.xreplace({t: R.expr(tokens[t]) for t in held}) if held else n
+
+    return is_zero(R.claim(R.walk(_xreplace(s.lhs, inside), tokens)))
 
 
 @dataclass(frozen=True)
@@ -259,35 +331,38 @@ _MAX_RETRIES = 40
 
 
 class _ModularTokens:
-    """Token realizations as num / Π base**power over the ring of their
-    generators, converted once by the ring walk of the zero test's stage 1
-    and evaluated at random points modulo a prime."""
+    """Token realizations, elements num / (c * Π base**power) of the
+    frame's ring, evaluated at random points modulo a prime."""
 
-    def __init__(self, realizations: dict[Symbol, sp.Expr]):
-        leaves: set = set()
-        for tok, r in realizations.items():
-            found = _ring_leaves(r, set())
-            kernel = next((g for g in found if not g.is_Symbol), None)
-            if kernel is not None:
-                raise SymcoreError(
-                    f"token {tok} is not a rational function of jets: it contains {kernel}")
-            leaves |= found
-        self.gens = sorted(leaves, key=lambda s: s.name)
-        walk = _RingWalk(self.gens)
-        self.parts = [walk(r) for r in realizations.values()]
+    def __init__(self, ring: FrameRing, realizations: dict[Symbol, tuple]):
+        self.parts = [ring.lift(r) for r in realizations.values()]
+        used: set[int] = set()
+        for tok, r in zip(realizations, self.parts):
+            for i in sorted(ring.used(r)):
+                if ring.gens[i] in ring.kernels:
+                    raise SymcoreError(f"token {tok} is not a rational function of jets: "
+                                       f"it contains {ring.kernels[ring.gens[i]]}")
+                used.add(i)
+        # values are drawn in name order, one per generator in use
+        self.order = sorted(used, key=lambda i: str(ring.gens[i]))
+        self.ngens = len(ring.gens)
 
     def sample(self, p: int, rng: random.Random) -> list[int] | None:
         """Token values at a random point mod p; None where a denominator
         base vanishes mod p."""
-        point = [rng.randrange(p) for _ in self.gens]
+        point = [0] * self.ngens
+        for i in self.order:
+            point[i] = rng.randrange(p)
         values = []
-        for num, den in self.parts:
-            d = 1
+        for num, den, c in self.parts:
+            d = c % p
             for base, power in den.items():
                 b = _eval_mod(base, point, p)
                 if not b:
                     return None
                 d = d * pow(b, power, p) % p
+            if not d:
+                return None
             values.append(_eval_mod(num, point, p) * pow(d, -1, p) % p)
         return values
 
@@ -295,7 +370,7 @@ class _ModularTokens:
 def _eval_mod(poly, point: list[int], p: int) -> int:
     total = 0
     for monom, c in poly.items():
-        term = c.numerator * pow(c.denominator, -1, p)
+        term = c
         for v, e in zip(point, monom):
             if e:
                 term = term * pow(v, e, p) % p
@@ -394,8 +469,8 @@ def discover_syzygy(invariants: dict[str, sp.Expr], fr: TresseFrame, M: PdeManif
     tokens = [I_tok, J_tok]
     for name in invariants:
         tokens += sp.symbols(f"{name} {name}_I {name}_J")
-    realizations = realize_tokens(sp.Add(*tokens), fr, invariants)
-    modular = _ModularTokens(realizations)
+    realizations = _token_elements(sp.Add(*tokens), fr, invariants)
+    modular = _ModularTokens(fr.ring, realizations)
     tokens = list(realizations)
     combos = [combo for d in range(degree + 1)
               for combo in itertools.combinations_with_replacement(range(len(tokens)), d)]

@@ -32,6 +32,12 @@ def total_derivative(e: sp.Expr, direction: str, cap: int = DEFAULT_ORDER_CAP) -
     One derivation walk over e (see ``symcore._derivation``) with
     D_t(t) = 1 and D_t(u_σ) = u_{σt}.
     """
+    return _derivation(sp.sympify(e), total_leaf(direction, cap))
+
+
+def total_leaf(direction: str, cap: int = DEFAULT_ORDER_CAP):
+    """The values of D_t or D_x on the symbols: D_t(t) = 1 and
+    D_t(u_σ) = u_{σt}, 0 on any other symbol."""
     if direction not in ("t", "x"):
         raise SymcoreError(f"direction must be 't' or 'x', not {direction!r}")
     dt, dx = (1, 0) if direction == "t" else (0, 1)
@@ -48,7 +54,7 @@ def total_derivative(e: sp.Expr, direction: str, cap: int = DEFAULT_ORDER_CAP) -
             raise OrderCapError(f"total derivative of {sym} exceeds jet order cap {cap}")
         return jet(i + dt, j + dx)
 
-    return _derivation(sp.sympify(e), leaf)
+    return leaf
 
 
 def Dt(e: sp.Expr, cap: int = DEFAULT_ORDER_CAP) -> sp.Expr:

@@ -16,7 +16,10 @@ vocabulary and evaluates nothing.
 Zero-testing works in two stages. Stage 1 is deterministic: every
 transcendental subexpression becomes an independent kernel symbol, and
 the kernelized expression is walked into a sparse polynomial ring over
-QQ as numerator / product of primitive denominator factors. A power that
+ZZ as numerator / (integer · product of primitive denominator factors),
+then read over QQ. A claim built by derivations can stay in such a ring
+from the start: a :class:`_DiffRing` grows its generators as walks and
+derivations need them, and the zero test takes its elements. A power that
 is not an integer power, exp included, is split by the terms of its
 exponent: each term is a power of its own kernel, and terms that differ
 or sum to a rational share one. No gcd is taken, so the value is zero
@@ -70,7 +73,7 @@ from mpmath import iv
 from mpmath.calculus.quadrature import GaussLegendre
 from sympy import Rational, Symbol
 from sympy.core.function import AppliedUndef
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.rings import ring
 from sympy.printing.pycode import MpmathPrinter
 
@@ -859,7 +862,7 @@ class ZeroVerdict:
     mode: str  # "deterministic" | "probabilistic" | "nonzero"
     witness: object = None  # |value| at a point: exact Rational or 40-digit Float
     samples: int = 0  # points drawn by stage 2, rejected ones included
-    expr: sp.Expr = sp.S.Zero  # the expression judged
+    expr: sp.Expr = sp.S.Zero  # the expression judged; 0 for a ring claim proved zero
 
     def __bool__(self):
         return self.is_zero
@@ -944,16 +947,18 @@ def _accumulate(acc: dict, p) -> None:
 
 
 class _RingWalk:
-    """Walks a kernelized body into (num, {base: power}) over QQ.
+    """Walks a kernelized body into (num, {base: power}, c) over ZZ.
 
-    ``num`` lies in ``ring(gens, QQ)``; the denominator is the product of
-    its bases, each a primitive ring element with positive leading
-    coefficient, never multiplied out. No gcd is taken: every base is a
+    The value is num / (c * Π base**power): ``num`` lies in
+    ``ring(gens, ZZ)``, c is a positive integer, and each base is a
+    primitive ring element with positive leading coefficient, never
+    multiplied out. No gcd of polynomials is taken: every base is a
     nonzero polynomial, so the value is zero exactly when ``num`` is.
+    :meth:`qq` gives the value over QQ, as num/c and the bases.
     """
 
     def __init__(self, gens: list):
-        self.R, *elems = ring(gens, QQ)
+        self.R, *elems = ring(gens, ZZ)
         self.gen = dict(zip(gens, elems))
         self.memo: dict = {}
 
@@ -966,36 +971,38 @@ class _RingWalk:
     def _convert(self, e: sp.Expr):
         R = self.R
         if e.is_Rational:
-            return R.ground_new(QQ(e.p, e.q)), {}
+            return R.ground_new(int(e.p)), {}, int(e.q)
         g = self.gen.get(e)
         if g is not None:
-            return g, {}
+            return g, {}, 1
         if e.is_Add:
             return self._add([self(a) for a in e.args])
         if e.is_Mul:
-            num, den = R.one, {}
-            for a in e.args:
-                n, d = self(a)
-                num = num * n
-                for b, p in d.items():
-                    den[b] = den.get(b, 0) + p
-            return num, den
+            return self._mul([self(a) for a in e.args])
         # an integer power: _ring_leaves made every other node a generator
         n = int(e.exp)
-        num, den = self(e.base)
+        num, den, c = self(e.base)
         if n < 0:
-            (num, den), n = self._invert(num, den), -n
-        return num**n, {b: p * n for b, p in den.items()}
+            (num, den, c), n = self._invert((num, den, c)), -n
+        return num**n, {b: p * n for b, p in den.items()}, c**n
+
+    def _mul(self, factors):
+        num, den, c = self.R.one, {}, 1
+        for n, d, k in factors:
+            num, c = num * n, c * k
+            for b, p in d.items():
+                den[b] = den.get(b, 0) + p
+        return num, den, c
 
     def _add(self, terms):
-        # sum the numerators over each distinct denominator, then bring the
-        # sums to the common denominator (the highest power of each base)
+        # scale the numerators to one scalar, sum them over each distinct
+        # denominator, then bring the sums to the common denominator (the
+        # highest power of each base)
+        c = math.lcm(*[k for _, _, k in terms]) if terms else 1
         sums: dict[frozenset, dict] = {}
-        for num, den in terms:
-            _accumulate(sums.setdefault(frozenset(den.items()), {}), num)
-        if len(sums) == 1:
-            (key, acc), = sums.items()
-            return self.R.dtype(acc), dict(key)
+        for num, den, k in terms:
+            _accumulate(sums.setdefault(frozenset(den.items()), {}),
+                        num if k == c else num.mul_ground(c // k))
         common: dict = {}
         for key in sums:
             for b, p in key:
@@ -1007,24 +1014,36 @@ class _RingWalk:
                 if p > have.get(b, 0):
                     num = num * b ** (p - have.get(b, 0))
             _accumulate(total, num)
-        return self.R.dtype(total), common
+        num = self.R.dtype(total)
+        if c > 1 and num:  # the scalar reduced by its gcd with the coefficients
+            g = math.gcd(c, *num.values())
+            num, c = num.quo_ground(g), c // g
+        return num, common, c
 
-    def _invert(self, num, den):
+    def _invert(self, elem):
+        num, den, c = elem
         if not num:
             raise UndefinedExpressionError("a denominator vanishes identically")
-        top = self.R.one
+        top = self.R.ground_new(c)
         for b, p in den.items():
             top = top * b**p
         if len(num) == 1:
             # a monomial splits into one base per generator
             (monom, coeff), = num.items()
-            return top.quo_ground(coeff), {
+            return (top if coeff > 0 else -top), {
                 self.R.gens[i]: k for i, k in enumerate(monom) if k
-            }
+            }, abs(coeff)
         content, base = num.primitive()
         if base.LC < 0:
-            content, base = -content, -base
-        return top.quo_ground(content), {base: 1}
+            top, base = -top, -base
+        return top, {base: 1}, content
+
+    def qq(self, elem):
+        """(num / c, {base: power}) in ``ring(gens, QQ)``."""
+        num, den, c = elem
+        Q = self.R.clone(domain=QQ)
+        return (Q.dtype({m: QQ(k, c) for m, k in num.items()}),
+                {Q.dtype({m: QQ(k) for m, k in b.items()}): p for b, p in den.items()})
 
 
 def _reduce(num, i: int, q: int, value):
@@ -1095,34 +1114,223 @@ def _ring_form(body: sp.Expr, table: dict, relations: bool = True,
     leaves = _ring_leaves(body, set())
     if modulo is not None:
         _ring_leaves(modulo[1], leaves)
-    plan = []
-    if relations:
-        for kernel, sym in reversed(table.items()):
-            rel = _relation(kernel, table) if sym in leaves else None
-            if rel is not None:
-                plan.append((sym, *rel))
-                _ring_leaves(rel[1], leaves)
-        if sp.I in leaves:
-            plan.append((sp.I, 2, sp.Integer(-1)))
+    plan = _relation_plan(table, leaves) if relations else []
     for kernel, sym in table.items():
         if sym in leaves and kernel.has(*_NON_FINITE):
             raise UndefinedExpressionError(f"non-finite constant in {kernel}")
     gens = sorted(leaves, key=lambda a: (str(a), sp.default_sort_key(a)))
     walk = _RingWalk(gens)
-    raw, den = walk(body)
+    raw, den = walk.qq(walk(body))
     if modulo is not None:
         base, phi = modulo
-        divisor, _ = walk(phi)
+        divisor, _ = walk.qq(walk(phi))
         i = gens.index(base) if base in walk.gen else None
         if i is not None and divisor.degree(i) > 0:
             raw = raw.prem(divisor, i)
         den = {}
-    num = raw
-    for sym, q, value in plan:
+    num = _reduce_relations(raw, gens, plan, lambda v: walk.qq(walk(v)))
+    return _RingForm(num, raw, den, gens, table)
+
+
+def _relation_plan(table: dict, leaves: set) -> list[tuple]:
+    """(generator, L, value) with generator**L = value for each generator
+    in ``leaves`` that has a relation, latest kernel first so that what a
+    reduction brings in is reduced afterwards; the generators of each
+    value join ``leaves``."""
+    plan = []
+    for kernel, sym in reversed(table.items()):
+        rel = _relation(kernel, table) if sym in leaves else None
+        if rel is not None:
+            plan.append((sym, *rel))
+            _ring_leaves(rel[1], leaves)
+    if sp.I in leaves:
+        plan.append((sp.I, 2, sp.Integer(-1)))
+    return plan
+
+
+def _reduce_relations(num, gens: list, plan: list, value: Callable):
+    """num over QQ with each relation of ``plan`` reduced, ``value``
+    taking a relation's value to its (num, den) over QQ."""
+    for sym, q, v in plan:
         if not num:
             break
-        num = _reduce(num, gens.index(sym), q, walk(value))
-    return _RingForm(num, raw, den, gens, table)
+        num = _reduce(num, gens.index(sym), q, value(v))
+    return num
+
+
+# -- a differential ring for claims built by derivations ------------------------
+
+
+class _DiffRing(_RingWalk):
+    """The arithmetic of :class:`_RingWalk` on generators that are appended
+    as walks and derivations meet new symbols and kernels; an element made
+    before is lifted (its monomials padded with zeros) when next used.
+    One kernelizer serves every walk, so equal kernels share a generator,
+    and a subclass may give a symbol a value (:meth:`substitute`) instead
+    of a generator. ``is_zero(ring.claim(element))`` decides an element as
+    it decides an expression, the kernel relations reduced in stage 1."""
+
+    def __init__(self):
+        super().__init__([])
+        self.kernelizer = _Kernelizer()
+        self.kernels: dict = {}  # a kernel generator -> its expression
+
+    @property
+    def gens(self) -> tuple:
+        return self.R.symbols
+
+    def substitute(self, sym: sp.Expr):
+        """The value of a leaf that is not a generator, or None."""
+        return None
+
+    def _lift_poly(self, p):
+        if p.ring is self.R:
+            return p
+        pad = (0,) * (self.R.ngens - p.ring.ngens)
+        return self.R.dtype({m + pad: k for m, k in p.items()})
+
+    def lift(self, elem):
+        """elem in the current ring."""
+        num, den, c = elem
+        if num.ring is self.R and all(b.ring is self.R for b in den):
+            return elem
+        return self._lift_poly(num), {self._lift_poly(b): p for b, p in den.items()}, c
+
+    def walk(self, e: sp.Expr, values: Mapping | None = None):
+        """The element of e, each symbol of ``values`` taking its element."""
+        body = self.kernelizer.run(_canon_integral_dummies(sp.sympify(e)))
+        leaves = sorted(_ring_leaves(body, set()), key=lambda a: (str(a), sp.default_sort_key(a)))
+        given = dict(values or {})
+        for leaf in leaves:
+            if leaf not in self.gen and leaf not in given:
+                value = self.substitute(leaf)  # may grow the ring
+                if value is not None:
+                    given[leaf] = value
+        new = [leaf for leaf in leaves if leaf not in self.gen and leaf not in given]
+        if new:
+            inverse = {s: k for k, s in self.kernelizer.table.items()}
+            for sym in new:
+                if sym in inverse:
+                    if inverse[sym].has(*_NON_FINITE):
+                        raise UndefinedExpressionError(f"non-finite constant in {inverse[sym]}")
+                    self.kernels[sym] = unkernelize(sym, self.kernelizer.table)
+            self.R, *elems = ring(self.gens + tuple(new), ZZ)
+            self.gen = dict(zip(self.gens, elems))
+        self.memo = {leaf: self.lift(v) for leaf, v in given.items()}
+        return self(body)
+
+    def add(self, *elems):
+        return self._add([self.lift(e) for e in elems])
+
+    def mul(self, *elems):
+        return self._mul([self.lift(e) for e in elems])
+
+    def neg(self, elem):
+        num, den, c = self.lift(elem)
+        return -num, den, c
+
+    def expr(self, elem) -> sp.Expr:
+        """elem as an expression, its kernels unkernelized. Sums and
+        products are built unevaluated: SymPy's flattening of a numerator
+        with hundreds of terms costs more than the claim itself."""
+        num, den, c = elem
+        factors = [_unevaluated(num), *[sp.Pow(_unevaluated(b), -p) for b, p in den.items()]]
+        if c != 1:
+            factors.append(Rational(1, c))
+        e = factors[0] if len(factors) == 1 else sp.Mul(*factors, evaluate=False)
+        return unkernelize(e, self.kernelizer.table)
+
+    def used(self, elem) -> set[int]:
+        """The indices of the generators that elem holds."""
+        return {i for p in (elem[0], *elem[1]) if p for i, d in enumerate(p.degrees()) if d > 0}
+
+    def claim(self, elem) -> "_Claim":
+        return _Claim(self, self.lift(elem))
+
+    def _form(self, elem) -> _RingForm | None:
+        """Stage 1 of a claim: None when it is provably zero, else its
+        ring form over QQ."""
+        if not elem[0]:
+            return None
+        plan = _relation_plan(self.kernelizer.table, {self.gens[i] for i in self.used(elem)})
+        values = {v: self.walk(v) for _, _, v in plan}  # may grow the ring
+        raw, den = self.qq(self.lift(elem))
+        num = _reduce_relations(raw, list(self.gens), plan,
+                                lambda v: self.qq(self.lift(values[v])))
+        return _RingForm(num, raw, den, list(self.gens), self.kernelizer.table) if num else None
+
+
+def _unevaluated(p) -> sp.Expr:
+    """The polynomial p as an unevaluated sum of unevaluated products."""
+    terms = []
+    for monom, coeff in p.items():
+        factors = [s if k == 1 else sp.Pow(s, k) for s, k in zip(p.ring.symbols, monom) if k]
+        if coeff != 1 or not factors:
+            factors.insert(0, sp.Integer(coeff))
+        terms.append(factors[0] if len(factors) == 1 else sp.Mul(*factors, evaluate=False))
+    return sp.Add(*terms, evaluate=False) if len(terms) != 1 else terms[0]
+
+
+class _Claim(NamedTuple):
+    """An element of a :class:`_DiffRing`, sent to :func:`is_zero`."""
+
+    ring: _DiffRing
+    elem: tuple
+
+
+class _Derivation:
+    """The derivation of a :class:`_DiffRing` with the values ``leaf`` gives
+    the symbols, as for :func:`_derivation`. Each generator's image is made
+    once, ``leaf`` of a symbol or :func:`_derivation` of a kernel walked
+    into the ring, so the kernels it brings in (f', log b, ...) become
+    generators. A polynomial p has the image Σ_g ∂p/∂g · D(g); a fraction
+    follows the quotient rule over its factored denominator."""
+
+    def __init__(self, ring: _DiffRing, leaf: Callable[[Symbol], sp.Expr]):
+        self.ring, self.leaf = ring, leaf
+        self.images: dict = {}
+        self.bases: dict = {}
+
+    def image(self, g):
+        out = self.images.get(g)
+        if out is None:
+            kernel = self.ring.kernels.get(g)
+            e = _derivation(kernel, self.leaf) if kernel is not None else (
+                self.leaf(g) if g.is_Symbol else sp.S.Zero)
+            out = self.images[g] = self.ring.walk(e)
+        return out
+
+    def poly(self, p):
+        """The image of a polynomial p of the ring."""
+        R = self.ring
+        if not p:
+            return p, {}, 1
+        images = [(i, self.image(R.gens[i])) for i, d in enumerate(p.degrees()) if d > 0]
+        p, acc, terms = R._lift_poly(p), {}, []  # the images may have grown the ring
+        for i, image in images:
+            num, den, c = R.lift(image)
+            if num:
+                dp = R.R.dtype({m[:i] + (m[i] - 1,) + m[i + 1:]: k * m[i]
+                                for m, k in p.items() if m[i]})
+                if den or c != 1:
+                    terms.append((dp * num, den, c))
+                else:
+                    _accumulate(acc, dp * num)
+        return R._add([(R.R.dtype(acc), {}, 1), *terms])
+
+    def __call__(self, elem):
+        R = self.ring
+        num, den, c = elem
+        dnum = self.poly(num)
+        for b in den:
+            if b not in self.bases:
+                self.bases[b] = self.poly(b)
+        terms = [R.mul(dnum, (R.R.one, den, c))]
+        for b, p in den.items():
+            if self.bases[b][0]:
+                raised = {**den, b: p + 1}
+                terms.append(R.mul((num * -p, raised, c), self.bases[b]))
+        return R.add(*terms)
 
 
 #: the default seed of the zero test's random points and stand-ins
@@ -1236,7 +1444,15 @@ def _value(k: sp.Expr, stand_ins: dict, point: dict):
 class _QuadPrinter(MpmathPrinter):
     """Prints an integral as nested ``quad`` calls, one per limit with the
     innermost limit innermost, so that an inner bound may name an outer
-    variable."""
+    variable, and a Rational p/q as ``_c(i)``, i its index in
+    ``rationals``."""
+
+    def __init__(self, settings):
+        super().__init__(settings)
+        self.rationals: dict[tuple[int, int], int] = {}
+
+    def _print_Rational(self, e):
+        return f"_c({self.rationals.setdefault((int(e.p), int(e.q)), len(self.rationals))})"
 
     def _print_Integral(self, e):
         out = self._print(e.function)
@@ -1260,9 +1476,21 @@ def _integral_value(k: sp.Expr):
         errors[-1] = max(errors[-1], error + inner * abs(interval[1] - interval[0]))
         return value
 
+    made: dict[tuple[int, int], mpmath.mpf] = {}
+
+    def constant(i):
+        # each Rational p/q once per working precision, not at every node:
+        # quad raises the precision before it calls the integrand, so this
+        # is the mpf(p)/mpf(q) the integrand would make, bit for bit
+        key = (i, mpmath.mp.prec)
+        if key not in made:
+            p, q = list(printer.rationals)[i]
+            made[key] = mpmath.mpf(p) / mpmath.mpf(q)
+        return made[key]
+
     printer = _QuadPrinter({"fully_qualified_modules": False, "inline": True,
                             "allow_unknown_functions": True})
-    f = sp.lambdify([], k, [{"quad": quad}, "mpmath"], printer=printer,
+    f = sp.lambdify([], k, [{"quad": quad, "_c": constant}, "mpmath"], printer=printer,
                     docstring_limit=0)  # no docstring: it would print k again
     z = f()
     if not (isinstance(z, mpmath.mpf) and mpmath.isfinite(z)):
@@ -1411,16 +1639,23 @@ def is_zero(e: sp.Expr, samples: int = 8, seed: int = _SEED,
     :class:`IndeterminateZeroTest`. The verdict's ``samples`` counts the
     points drawn, rejected ones included.
 
+    e may be a claim of a differential ring, ``ring.claim(element)``: its
+    form is the element's, and a verdict that is not deterministic carries
+    the element unkernelized as its ``expr``.
+
     ``modulo = (base, Φ)`` asks whether e vanishes where Φ = 0: both
     stages judge the pseudo-remainder of e's numerator by Φ's in the
     symbol ``base`` (see :func:`_ring_form`), stage 2 draws its point and
     stand-ins for the symbols and formal functions of Φ too, and a verdict
     that is not deterministic carries that remainder as its ``expr``.
     """
-    e = sp.sympify(e)
-    form = _stage1(e, modulo)
+    claim = isinstance(e, _Claim)
+    e = e if claim else sp.sympify(e)
+    form = e.ring._form(e.elem) if claim else _stage1(e, modulo)
     if form is None:
-        return ZeroVerdict(True, "deterministic", expr=e)
+        return ZeroVerdict(True, "deterministic", expr=sp.S.Zero if claim else e)
+    if claim:
+        e = e.ring.expr(e.elem)
     scope = e  # the point and the stand-ins cover its symbols and formal functions
     if modulo is not None:
         scope, e = sp.Tuple(e, modulo[1]), unkernelize(form.raw.as_expr(), form.table)

@@ -209,15 +209,29 @@ def _polynomials(degree: int):
 @given(_factorizations(), _polynomials(5), st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_hermite_reduction_property(factors, numerator, derivative):
-    # on QQ integrands with repeated factors: the antiderivative
-    # differentiates back exactly, and None means a log part remains
+    # on QQ integrands with repeated factors: f = R' + A/S exactly, and the
+    # log part A/S is zero exactly when the antiderivative is rational
     v = sp.Symbol("v")
     den = sp.Mul(*[f**m for f, m in factors])
     f = sp.diff(numerator / den, v) if derivative else numerator / den
-    F = hs._hermite(f, v)
-    assert (F is None) == hs.ratint(f, v).has(sp.log, sp.atan)
-    if F is not None:
-        assert is_zero(F.diff(v) - f).mode == "deterministic"
+    R, A, S = hs._hermite(f, v)
+    assert A.is_zero == (not hs.ratint(f, v).has(sp.log, sp.atan))
+    assert is_zero(R.diff(v) + A.as_expr() / S.as_expr() - f).mode == "deterministic"
+
+
+@pytest.mark.parametrize("g", [1 / (w**3 + w + 1), 1 / (w**3 - w - 1),
+                               1 / ((w**2 + 1) * (w**3 - 3))],
+                         ids=["w3+w+1", "w3-w-1", "(w2+1)(w3-3)"])
+def test_a_cubic_log_part_is_kept_for_quadrature(g, monkeypatch):
+    # ratint's real form of such a log part is a RootSum or takes minutes:
+    # the moment stays an Integral, and the surface is evaluated numerically
+    def refuse(f, var):
+        raise AssertionError(f"ratint called on {f}")
+
+    monkeypatch.setattr(hs, "ratint", refuse)
+    sol = general_solution(g, sp.Integer(0))
+    assert sol.X.has(sp.Integral) and sol.U.has(sp.Integral)
+    assert math.isfinite(sol.x_of(0.5, 0.3)) and math.isfinite(sol.u_of(0.5, 0.3))
 
 
 def test_degenerate_g_is_flagged():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetquot import invariants
-from jetquot.catalog import get
+from jetquot.catalog import get, names
 from jetquot.invariants import (
     DegenerateFrameError,
     H_tok,
@@ -27,7 +27,9 @@ from jetquot.invariants import (
 )
 from jetquot.jetcalc import VectorField
 from jetquot.pde import PdeManifold
-from jetquot.symcore import SymcoreError, formal, jet, t, x
+from jetquot.symcore import SymcoreError, formal, is_zero, jet, t, x
+
+from tresse_reference import Reference
 
 u, u_x, u_xx, u_xxx, u_xxxx = jet(0, 0), jet(0, 1), jet(0, 2), jet(0, 3), jet(0, 4)
 u_t, u_tx = jet(1, 0), jet(1, 1)
@@ -80,6 +82,50 @@ def test_tresse_derivations_take_no_expr_normal_form():
     for cls in (InvariantDerivation, TresseFrame):
         source = inspect.getsource(cls)
         assert "together" not in source and "cancel" not in source, cls.__name__
+
+
+@pytest.mark.parametrize("name", names())
+def test_ring_derivations_match_the_expr_reference(name):
+    # ∂̂_I and ∂̂_J of every invariant of the frame, computed in its ring,
+    # equal α D_t + β D_x restricted, computed on expressions
+    e = get(name)
+    fr, ref = e.frame, Reference(e)
+    for inv in e.invariants.values():
+        for which in fr.derivations:
+            ring_side = fr.derivation(which).apply(inv)
+            assert is_zero(ring_side - ref.derive(which, inv)).mode == "deterministic", which
+
+
+def test_kernel_derivatives_become_generators():
+    # α(t, u_x, u_xx) and α(u_x) bring their partials into the frame's ring
+    for name, partial in (("type1-general", formal("alpha", 3, (0, 1, 0))),
+                          ("ex1.1", formal("alpha", 1, (1,)))):
+        e = get(name)
+        fr = TresseFrame(e.invariants["I"], e.invariants["J"], e.manifold)
+        assert partial not in {type(k) for k in fr.ring.kernels.values()}
+        fr.derivation("I").apply(u_xx)  # D_t u_xx is D_x of the rhs
+        assert partial in {type(k) for k in fr.ring.kernels.values()}, name
+
+
+def test_burgers_full_frame_and_syzygies_take_no_expr_total_derivative(monkeypatch):
+    from jetquot import jetcalc
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an Expr total derivative was taken")
+
+    e = get("burgers-full")
+    M = PdeManifold(e.F, e.principal)
+    monkeypatch.setattr(jetcalc, "total_derivative", refuse)
+    fr = TresseFrame(e.invariants["I"], e.invariants["J"], M)
+    for s in e.syzygies:
+        assert check_syzygy(s, fr, e.higher_invariants(), M).mode == "deterministic"
+    assert all(v.mode == "deterministic" for v in fr.duality_verdicts())
+
+
+def test_frame_claims_are_checked_on_the_frame_manifold(burgers_frame):
+    other = PdeManifold(F_BURGERS, (1, 0))
+    with pytest.raises(SymcoreError, match="own manifold"):
+        check_syzygy(Syzygy(HI), burgers_frame, {"H": u_xxx}, other)
 
 
 def test_commutation(burgers_frame, burgers, hs_frame, hs):

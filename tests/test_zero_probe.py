@@ -178,6 +178,39 @@ def test_nested_integrals_are_computed_one_limit_at_a_time():
     assert zero.is_zero and zero.mode == "probabilistic"
 
 
+def test_quadrature_makes_each_constant_once_per_precision(monkeypatch):
+    # a nested integral's constants are made once at each working
+    # precision, not at every node, and the values stay bit-identical to
+    # those of mpf(p)/mpf(q) written into the integrand
+    from mpmath import ctx_mp_python
+
+    made = []
+    from_int = ctx_mp_python.from_int
+    monkeypatch.setattr(ctx_mp_python, "from_int",
+                        lambda n, *args: made.append(n) or from_int(n, *args))
+    seen = []
+    legendre = symcore._gauss_legendre
+
+    def recording(f, interval):
+        out = legendre(f, interval)
+        seen.append(out[0])
+        return out
+
+    monkeypatch.setattr(symcore, "_gauss_legendre", recording)
+    k = sp.Integral(sp.exp(s * v) / 7, (s, 0, v), (v, 0, sp.Rational(5, 11)))
+    with mpmath.workdps(40):
+        value = symcore._integral_value(k)
+        assert made.count(7) <= 2 and made.count(11) <= 2
+
+        def inner(v_):
+            return mpmath.quad(lambda s_: mpmath.mpf(1) / mpmath.mpf(7) * mpmath.exp(s_ * v_),
+                               (0, v_), method=symcore._FastGaussLegendre, maxdegree=6)
+
+        outer = mpmath.quad(inner, (0, mpmath.mpf(5) / mpmath.mpf(11)),
+                            method=symcore._FastGaussLegendre, maxdegree=6)
+    assert seen[-1] == outer and outer in value
+
+
 def test_samples_count_rejected_points(monkeypatch):
     assert is_zero((a + b)**2 - a**2 - 2*a*b - b**2).samples == 0
     sample = symcore._sample
