@@ -86,14 +86,19 @@ def test_tresse_derivations_take_no_expr_normal_form():
 
 @pytest.mark.parametrize("name", names())
 def test_ring_derivations_match_the_expr_reference(name):
-    # ∂̂_I and ∂̂_J of every invariant of the frame, computed in its ring,
-    # equal α D_t + β D_x restricted, computed on expressions
+    # ∂̂_I and ∂̂_J of every invariant of the frame and of every first-order
+    # token of its syzygies, computed in its ring, equal α D_t + β D_x
+    # restricted, computed on expressions
     e = get(name)
     fr, ref = e.frame, Reference(e)
-    for inv in e.invariants.values():
+    tokens = {s for syzygy in e.syzygies for s in syzygy.lhs.free_symbols
+              if len((invariants._split_token(s) or ("", ""))[1]) == 1}
+    realized = list(e.invariants.values())
+    realized += realize_tokens(sp.Add(*tokens), fr, e.higher_invariants()).values()
+    for r in realized:
         for which in fr.derivations:
-            ring_side = fr.derivation(which).apply(inv)
-            assert is_zero(ring_side - ref.derive(which, inv)).mode == "deterministic", which
+            ring_side = fr.derivation(which).apply(r)
+            assert is_zero(ring_side - ref.derive(which, r)).mode == "deterministic", (r, which)
 
 
 def test_kernel_derivatives_become_generators():
