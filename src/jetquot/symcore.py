@@ -1234,6 +1234,8 @@ class _DiffRing(_RingWalk):
         products are built unevaluated: SymPy's flattening of a numerator
         with hundreds of terms costs more than the claim itself."""
         num, den, c = elem
+        if not num:
+            return sp.S.Zero
         factors = [_unevaluated(num), *[sp.Pow(_unevaluated(b), -p) for b, p in den.items()]]
         if c != 1:
             factors.append(Rational(1, c))

@@ -147,6 +147,11 @@ def test_invariance_of_burgers_jets(burgers):
     assert not bool(check_invariant(u, gens, burgers))
 
 
+def test_a_zero_derivative_is_the_zero_expression(burgers_frame):
+    # the ring's expressions are built unevaluated, but a zero is 0
+    assert burgers_frame.derivation("J").apply(u_x) is sp.S.Zero
+
+
 def test_realize_tokens_builds_derivative_tokens(burgers_frame):
     e = HI + H_tok * HJ
     table = realize_tokens(e, burgers_frame, {"H": u_xxx})
