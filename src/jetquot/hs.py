@@ -104,7 +104,9 @@ def _closed(e: sp.Integral) -> sp.Expr:
     QQ[v] (:func:`_hermite`), and from ``ratint`` when a log part ∫A/S
     remains, unless S/gcd(A, S) has an irreducible factor of degree ≥ 3
     over QQ: its real form is a RootSum or costs ``ratint`` minutes, so the
-    moment is kept for quadrature. The moment is F(w) − F(0). Any other f
+    moment is kept for quadrature. The moment is F(w) − F(0), with each
+    log term c·log(a) of F taken as c·log(a(w)/a(0)), which is real where
+    a keeps its sign at 0 (log(w − 3) − log(−3) is not). Any other f
     goes through ``doit``. X and U are put in canonical form once.
     """
     f, (var, lo, hi) = e.function, e.limits[0]
@@ -116,10 +118,15 @@ def _closed(e: sp.Integral) -> sp.Expr:
             return e
         else:
             F = ratint(f, var)
+        logs = [(c, a.args[0]) for c, a in
+                (term.as_independent(sp.log, as_Add=False) for term in sp.Add.make_args(F))
+                if isinstance(a, sp.log)]
+        F -= sum(c * sp.log(a) for c, a in logs)
         F0 = F.subs(var, lo)
         if F0.has(*_UNCLOSED):
             return e
-        out = F.subs(var, hi) - F0
+        out = F.subs(var, hi) - F0 + sum(c * sp.log(a.subs(var, hi) / a.subs(var, lo))
+                                          for c, a in logs)
     else:
         out = e.doit()
     return e if out.has(*_UNCLOSED) else out

@@ -18,6 +18,7 @@ from .symcore import (
     JetVar,
     SymcoreError,
     ZeroVerdict,
+    _cancel,
     _xreplace,
     differentiate,
     is_zero,
@@ -60,7 +61,7 @@ class PdeManifold:
             raise RestrictionError(f"{p} does not occur in F")
         if p in coeff.free_symbols:
             raise RestrictionError(f"F is not affine in the principal derivative {p}")
-        rhs = sp.cancel(-(self.F - coeff * p) / coeff)
+        rhs = _cancel(-(self.F - coeff * p) / coeff)
         if p in rhs.free_symbols:
             raise RestrictionError(f"could not solve F = 0 for {p}")
         self._rhs: dict[tuple[int, int], sp.Expr] = {}

@@ -49,9 +49,14 @@ bound rejects the sample, and another point is drawn; a SymPy function
 that is not formal has no stand-in, so its samples are all rejected and
 the test is indeterminate. Asked whether e vanishes where Φ = 0, both
 stages judge the pseudo-remainder of e's numerator by Φ's instead (see
-:func:`is_zero`). :func:`normalize` is the separate, printable
-rational normal form; a verdict's ``residual`` calls it when the
-certificate of a claim that is not proved zero is first read.
+:func:`is_zero`).
+
+There is one rational normal form, :func:`_cancel`: p/q over ZZ in the
+ring of an expression's leaves with gcd(p, q) removed. It is the key of
+a kernel's arguments and power bases, the solved rhs of a
+``PdeManifold``, and the body of :func:`normalize`, the printable normal
+form; a verdict's ``residual`` calls it when the certificate of a claim
+that is not proved zero is first read.
 """
 
 from __future__ import annotations
@@ -74,6 +79,7 @@ from mpmath.calculus.quadrature import GaussLegendre
 from sympy import Rational, Symbol
 from sympy.core.function import AppliedUndef
 from sympy.polys.domains import QQ, ZZ
+from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import ring
 from sympy.printing.pycode import MpmathPrinter
 
@@ -668,7 +674,10 @@ class _Kernelizer:
     rational from a term already seen for the same base, or whose sum
     with it is rational, reuses that term's kernel, and the rational goes
     to the rational part. Each rewrite holds on the principal branch:
-    b**(m+n) = b**m * b**n and (b**(m/L))**L = b**m.
+    b**(m+n) = b**m * b**n and (b**(m/L))**L = b**m. Kernel arguments,
+    power bases, exponent differences and flattened exponents are put in
+    the canonical form :func:`_cancel`, so two writings of one rational
+    function of the same leaves make one kernel.
     """
 
     def __init__(self):
@@ -714,7 +723,7 @@ class _Kernelizer:
             base, expo = e.args
             # flatten nested powers (real principal branch throughout)
             while base.is_Pow and not (base.exp.is_Integer and expo.is_Integer):
-                base, expo = base.base, sp.cancel(base.exp * expo)
+                base, expo = base.base, _cancel(base.exp * expo)
             if expo.is_Integer:
                 return self._walk(base) ** expo
             return self._power(base, expo)
@@ -757,7 +766,7 @@ class _Kernelizer:
         for m0 in seen:
             if m0.free_symbols == m.free_symbols:
                 for sign in (1, -1):
-                    d = sp.cancel(m - sign * m0)
+                    d = _cancel(m - sign * m0)
                     if d.is_Rational:
                         return m0, sign, d
         seen.append(m)
@@ -778,12 +787,27 @@ class _Kernelizer:
 
 
 def _cancel(w: sp.Expr) -> sp.Expr:
+    """w as p/q over ZZ in the ring of its leaves (see :func:`_ring_leaves`)
+    with gcd(p, q) removed and q's leading coefficient positive, the
+    generators in SymPy's order, so the form is ``sp.cancel``'s. Equal
+    rational functions of the same leaves give the identical expression;
+    a Float leaf is its exact binary Rational. w holding I is left to
+    ``sp.cancel``, which reduces I**2 = -1 over ZZ_I; w is returned as it
+    is when a walk fails (a non-finite constant, a vanishing denominator)."""
     if w.is_Symbol or w.is_Rational:
-        return w  # already canonical: cancel returns it unchanged
-    try:
-        return sp.cancel(w)
-    except (ValueError, sp.PolynomialError):
         return w
+    try:
+        leaves = _ring_leaves(w, set())
+        if sp.I in leaves:
+            return sp.cancel(w)
+        floats = {f for f in leaves if f.is_Float}
+        walk = _RingWalk(list(_sort_gens(sorted(leaves - floats, key=sp.default_sort_key))))
+        walk.memo.update((f, walk(Rational(f))) for f in floats)
+        num, den, c = walk(w)
+    except (UndefinedExpressionError, ValueError, sp.PolynomialError):
+        return w
+    p, q = num.cancel(reduce(operator.mul, [b**k for b, k in den.items()], walk.R(c)))
+    return p.as_expr() / q.as_expr()
 
 
 def _power_kernel(base: sp.Expr, m: sp.Expr) -> sp.Expr:
@@ -842,15 +866,14 @@ def unkernelize(e: sp.Expr, table: dict[sp.Expr, Symbol]) -> sp.Expr:
 
 
 def normalize(e: sp.Expr) -> sp.Expr:
-    """Rational normal form over the expression's kernels.
+    """Rational normal form over the expression's kernels: the body of
+    :func:`kernelize` in the canonical form :func:`_cancel`, unkernelized.
 
     Idempotent; maps anything that is zero as a rational function of its
     kernels to the literal 0.
     """
-    e = sp.sympify(e)
     body, table = kernelize(e)
-    body = sp.cancel(sp.together(body))
-    return unkernelize(body, table)
+    return unkernelize(_cancel(body), table)
 
 
 # -- zero testing ------------------------------------------------------------
@@ -1207,13 +1230,24 @@ class _DiffRing(_RingWalk):
                 if value is not None:
                     given[leaf] = value
         new = [leaf for leaf in leaves if leaf not in self.gen and leaf not in given]
+        kernels = {}
         if new:
             inverse = {s: k for k, s in self.kernelizer.table.items()}
             for sym in new:
                 if sym in inverse:
                     if inverse[sym].has(*_NON_FINITE):
                         raise UndefinedExpressionError(f"non-finite constant in {inverse[sym]}")
-                    self.kernels[sym] = unkernelize(sym, self.kernelizer.table)
+                    kernels[sym] = unkernelize(sym, self.kernelizer.table)
+        # a kernel generator stays its expression, so no symbol inside it may
+        # take a value; a new kernel is checked against substitute once
+        for leaf in leaves:
+            if leaf in kernels or (given and leaf in self.kernels):
+                kernel = kernels.get(leaf, self.kernels.get(leaf))
+                for s in _free_symbols(kernel):
+                    if s in given or (leaf in kernels and self.substitute(s) is not None):
+                        raise SymcoreError(f"{s} takes a value but occurs inside the kernel {kernel}")
+        if new:
+            self.kernels.update(kernels)
             self.R, *elems = ring(self.gens + tuple(new), ZZ)
             self.gen = dict(zip(self.gens, elems))
         self.memo = {leaf: self.lift(v) for leaf, v in given.items()}

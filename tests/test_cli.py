@@ -101,6 +101,18 @@ def test_hs_solve_residual_grid_fails_when_no_point_is_evaluated(capsys, tmp_pat
     assert "over 0 points (9 excluded)" in out and "no grid point" in err
 
 
+@pytest.mark.parametrize("g, C", [("(w^2+1)/(w-3)^3", "t^2"), ("1/((w-3)^2*(w^2+1))", "0")])
+def test_hs_solve_residual_grid_with_a_log_part_negative_at_zero(capsys, tmp_path,
+                                                                 monkeypatch, g, C):
+    # the moments hold c*log(a(w)) with a(0) = -3 < 0: written as
+    # c*log(a(w)/a(0)) they are real on the grid, where w < 3
+    monkeypatch.setenv("JETQUOT_OUTPUT_DIR", str(tmp_path))
+    code, out, _ = run(capsys, "hs", "solve", "--g", g, "--C", C, "--t", "0:2:0.5",
+                       "--w=-1:0.9:0.1", "--residual-grid")
+    assert code == 0
+    assert "over 99 points (1 excluded)" in out
+
+
 def test_hs_cauchy_report(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("JETQUOT_OUTPUT_DIR", str(tmp_path))
     code, out, _ = run(capsys, "hs", "cauchy", "--t0", "1", "--u0", "x^2")

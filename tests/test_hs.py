@@ -146,6 +146,17 @@ def test_elementary_g_gives_an_evaluable_closed_surface(g):
     assert rep.evaluated == 9 and rep.max_residual < 1e-10
 
 
+@pytest.mark.parametrize("g", [(w**2 + 1) / (w - 3)**3, 1 / ((w - 3)**2 * (w**2 + 1))],
+                         ids=["cubic-pole", "pole-and-atan"])
+def test_a_log_part_negative_at_zero_gives_a_real_surface(g):
+    # ratint gives log(w - 3): c*log(a(w)) - c*log(a(0)) would hold log(-3)
+    sol = general_solution(g, t**2)
+    assert sol.closed and not sol.X.has(sp.I) and not sol.U.has(sp.I)
+    assert sol.X.has(sp.log(1 - w / 3))
+    rep = residual(sol, grid([0.0, 0.5, 1.0], [-0.5, 0.0, 0.5]), method="exact")
+    assert rep.evaluated == 9 and rep.max_residual < 1e-8
+
+
 def test_divergent_moment_keeps_an_integral_and_no_infinity():
     # ∫₀ʷ g diverges at w = 0, so X keeps its Integral; U needs only the
     # convergent moments and closes

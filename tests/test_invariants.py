@@ -314,3 +314,19 @@ def _contains_up_to_scale(syzygies, target):
         if sp.simplify(lhs - target) == 0:
             return True
     return False
+
+
+def test_a_walk_refuses_a_symbol_that_takes_a_value_inside_a_kernel(hs_frame):
+    # u_tx is the principal jet: outside a kernel it is its rhs, inside one
+    # it would stay unrestricted, and exp(u_tx) - restricted(exp(u_tx)) would
+    # be refuted
+    ring, u_tx, H = hs_frame.ring, jet(1, 1), sp.Symbol("H")
+    assert ring.walk(u_tx) == ring.restricted(u_tx)
+    with pytest.raises(SymcoreError, match=r"u_tx .* kernel exp\(u_tx\)"):
+        ring.walk(sp.exp(u_tx))
+    with pytest.raises(SymcoreError, match=r"u_tx .* kernel exp\(u_tx\)"):
+        ring.walk(sp.exp(u_tx))  # the kernel was not kept as a generator
+    with pytest.raises(SymcoreError, match=r"H .* kernel exp\(H\)"):
+        ring.walk(H + sp.exp(H), values={H: ring.walk(u_x)})
+    assert is_zero(ring.expr(ring.restricted(sp.exp(u_tx)))
+                   - hs_frame.M.restrict(sp.exp(u_tx))).mode == "deterministic"

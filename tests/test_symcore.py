@@ -285,6 +285,21 @@ def test_zero_decisions_go_through_the_zero_test():
     assert [f for f, text in sources.items() if compared.search(text)] == []
 
 
+def test_symcore_and_pde_have_one_rational_normal_form():
+    import pathlib
+    import re
+
+    import jetquot
+
+    package = pathlib.Path(jetquot.__file__).parent
+    # every cancel is symcore._cancel, computed in the stage-1 ring; only an
+    # expression holding I is left to SymPy, which cancels over ZZ_I
+    texts = {name: (package / name).read_text() for name in ("symcore.py", "pde.py")}
+    assert [name for name, text in texts.items() if "sp.together(" in text] == []
+    assert [text.count("sp.cancel(") for text in texts.values()] == [1, 0]
+    assert re.search(r"if sp\.I in leaves:\n\s+return sp\.cancel\(w\)", texts["symcore.py"])
+
+
 # ---------------------------------------------------------------------------
 # Numeric evaluation
 # ---------------------------------------------------------------------------

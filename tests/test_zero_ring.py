@@ -12,7 +12,7 @@ import random
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jetquot import catalog, symcore
@@ -218,6 +218,50 @@ def test_roots_of_a_kernel_base_do_not_depend_on_term_order():
     terms = (_unevaluated(e**sp.Rational(5, 6), e**sp.Rational(5, 6)), -e**sp.Rational(5, 3))
     assert is_zero(sp.Add(*terms, evaluate=False)).mode == "deterministic"
     assert is_zero(sp.Add(*reversed(terms), evaluate=False)).mode == "deterministic"
+
+
+# ---------------------------------------------------------------------------
+# One canonical form for kernel arguments
+# ---------------------------------------------------------------------------
+
+_y, _z = sp.symbols("y z")
+_g = symcore.formal("g")
+_polys = st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 2), st.integers(0, 2),
+                            st.integers(0, 1)), min_size=1, max_size=4)
+
+
+def _poly(terms):
+    return sp.Add(*[c * x**a * _y**b * _z**d for c, a, b, d in terms])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_polys, _polys, _polys)
+def test_cancel_is_one_canonical_form(p, q, r):
+    p, q, r = _poly(p), _poly(q), _poly(r)
+    assume(q != 0 and r != 0)
+    e = p / q
+    forms = [sp.factor(p) / sp.factor(q), sp.expand(p) / sp.expand(q),
+             sp.expand(p * r) / sp.expand(q * r)]
+    canon = [symcore._cancel(f) for f in forms]
+    assert canon[0] == canon[1] == canon[2]
+    assert sp.cancel(canon[0] - e) == 0
+
+
+@pytest.mark.parametrize("claim", [
+    _g(x * (1 + _y)) - _g(x + x * _y),
+    _g((x**2 - 1) / (x - 1)) - _g(x + 1),
+    _g((2.0 * x + 2) / (x + 1)) - _g(2.0),
+    _g(1 / (x + sp.I)) - _g((x - sp.I) / (x**2 + 1)),
+    _g(0.5 * x + 0.5 * x) - _g(x),
+], ids=["factored", "gcd", "float", "imaginary unit", "float sum"])
+def test_kernel_arguments_written_two_ways_share_one_kernel(claim):
+    assert is_zero(claim).mode == "deterministic"
+    assert is_zero(claim + x / 7).mode == "nonzero"
+
+
+def test_a_float_argument_is_its_binary_rational():
+    # 0.1 is not 1/10 in binary
+    assert is_zero(_g(0.1 * x) - _g(x / 10)).mode == "nonzero"
 
 
 # ---------------------------------------------------------------------------
