@@ -789,7 +789,8 @@ class _Kernelizer:
 def _cancel(w: sp.Expr) -> sp.Expr:
     """w as p/q over ZZ in the ring of its leaves (see :func:`_ring_leaves`)
     with gcd(p, q) removed and q's leading coefficient positive, the
-    generators in SymPy's order, so the form is ``sp.cancel``'s. Equal
+    generators in SymPy's order, so that over ZZ the form is the one
+    ``sp.cancel`` prints. Equal
     rational functions of the same leaves give the identical expression;
     a Float leaf is its exact binary Rational. w holding I is left to
     ``sp.cancel``, which reduces I**2 = -1 over ZZ_I; w is returned as it
