@@ -36,7 +36,6 @@ from .pde import (
     PdeManifold,
     SymmetryVerdict,
     check_symmetry,
-    dimension,
 )
 from .invariants import (
     InvariantDerivation,
@@ -76,7 +75,6 @@ from .hs import (
     flow_jet,
     flowed_constraint_residual,
     general_solution,
-    hs_comparison,
     residual,
     singular_curve,
     surface_csv,

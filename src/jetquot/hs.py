@@ -691,38 +691,6 @@ def flowed_constraint_residual(sol: ParamSolution, generator: str, s: float,
 
 
 # ---------------------------------------------------------------------------
-# Relation to the Hunter-Saxton representation of the general solution
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ComparisonMaps:
-    """ξ, α, β of the classical solution formula, parametrized by w.
-
-    With ξ(w) = ∫₀ʷ g, α(w) = ∫₀ʷ g v dv, β(w) = ½∫₀ʷ g v² dv one has
-    w = α'(ξ) and β'(ξ) = ½ α'(ξ)².
-    """
-
-    xi: sp.Expr
-    alpha: sp.Expr
-    beta: sp.Expr
-
-    def beta_identity_residual(self) -> sp.Expr:
-        """β'(ξ) − ½α'(ξ)² expressed in the parameter w (chain rule)."""
-        dxi = self.xi.diff(w)
-        return sp.cancel(self.beta.diff(w) / dxi
-                         - (self.alpha.diff(w) / dxi)**2 / 2)
-
-
-def hs_comparison(g) -> ComparisonMaps:
-    g = _in_w(g)
-    if exact_zero(g):
-        raise SymcoreError("g = 0 makes the change of variables degenerate")
-    M0, M1, M2 = _moments(g)
-    return ComparisonMaps(M0, M1, M2 / 2)
-
-
-# ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
 

@@ -24,7 +24,6 @@ from .symcore import (
     is_zero,
     jet_orders,
     jets_in,
-    max_jet_order,
     t,
     x,
 )
@@ -67,9 +66,6 @@ class PdeManifold:
         self._rhs: dict[tuple[int, int], sp.Expr] = {}
         self._rhs[(0, 0)] = self.restrict(rhs)
 
-    def order(self) -> int:
-        return max_jet_order(self.F)
-
     def rhs(self, offset: tuple[int, int]) -> sp.Expr:
         """Restricted expression for the principal derivative shifted by offset."""
         if offset not in self._rhs:
@@ -110,25 +106,6 @@ class PdeManifold:
 
     def __repr__(self):
         return f"PdeManifold({self.F} = 0, principal={self.principal.name})"
-
-
-def dimension(M: PdeManifold, k: int) -> int:
-    """dim E_k = dim J^k minus the number of prolonged equations.
-
-    E_k is cut out by F = 0 together with D_t^i D_x^j F = 0 for
-    i + j ≤ k − order(F); both sets are enumerated explicitly and the
-    result is checked against the closed formula 3 + 2k for second-order
-    equations.
-    """
-    m = M.order()
-    if k < m:
-        raise SymcoreError(f"k must be at least the order of F ({m})")
-    jets = [JetVar(i, n - i) for n in range(k + 1) for i in range(n + 1)]
-    equations = [(i, j) for i in range(k - m + 1) for j in range(k - m + 1 - i)]
-    count = 2 + len(jets) - len(equations)
-    if m == 2:
-        assert count == 3 + 2 * k
-    return count
 
 
 @dataclass

@@ -15,11 +15,12 @@ vocabulary and evaluates nothing.
 
 Zero-testing works in two stages. Stage 1 is deterministic: every
 transcendental subexpression becomes an independent kernel symbol, and
-the kernelized expression is walked into a sparse polynomial ring over
-ZZ as numerator / (integer · product of primitive denominator factors),
-then read over QQ. A claim built by derivations can stay in such a ring
-from the start: a :class:`_DiffRing` grows its generators as walks and
-derivations need them, and the zero test takes its elements. A power that
+the kernelized expression is walked into a fresh :class:`_DiffRing`, a
+sparse polynomial ring over ZZ, as numerator / (integer · product of
+primitive denominator factors), then read over QQ. Such a ring grows its
+generators as walks and derivations need them, so a claim built by
+derivations can stay in it from the start, and the zero test takes its
+elements the same way. A power that
 is not an integer power, exp included, is split by the terms of its
 exponent: each term is a power of its own kernel, and terms that differ
 or sum to a rational share one. No gcd is taken, so the value is zero
@@ -906,30 +907,18 @@ class ZeroVerdict:
 
 def exact_zero(e: sp.Expr) -> bool:
     """Stage 1 of :func:`is_zero` alone: True when e is provably zero."""
-    return _stage1(sp.sympify(e)) is None
+    return not _stage1(sp.sympify(e)).num
 
 
-def _stage1(e: sp.Expr, modulo: tuple | None = None) -> "_RingForm | None":
-    """None when e is provably zero (modulo Φ, see :func:`is_zero`), else
-    the ring form of e."""
-    if e == 0:
-        return None
-    # align bound variables so dummy-renamed integrals share one kernel
-    if modulo is not None:
-        modulo = (modulo[0], _canon_integral_dummies(modulo[1]))
-    form = _kernel_ring(_canon_integral_dummies(e), modulo)
-    return form if form.num else None
-
-
-def _kernel_ring(e: sp.Expr, modulo: tuple | None = None) -> "_RingForm":
-    """e kernelized into its ring form; with ``modulo = (base, Φ)``, Φ is
-    kernelized by the same kernelizer, in one pass with e."""
-    k = _Kernelizer()
+def _stage1(e: sp.Expr, modulo: tuple | None = None) -> "_RingForm":
+    """The ring form of e (modulo Φ, see :func:`is_zero`) in a fresh
+    :class:`_DiffRing`; with ``modulo = (base, Φ)``, e and Φ are walked in
+    one kernelizer pass."""
+    ring = _DiffRing()
     if modulo is None:
-        return _ring_form(k.run(e), k.table)
-    base, phi = modulo
-    body, phi = k.run(sp.Tuple(e, phi))
-    return _ring_form(body, k.table, modulo=(base, phi))
+        return ring._form(ring.walk(e))
+    elem, phi = ring.walk(sp.Tuple(e, modulo[1]))
+    return ring._form(elem, modulo=(modulo[0], phi))
 
 
 # -- stage 1 in a factored-denominator polynomial ring ------------------------
@@ -940,8 +929,9 @@ _NON_FINITE = frozenset({sp.S.ComplexInfinity, sp.S.Infinity, sp.S.NegativeInfin
 def _ring_leaves(e: sp.Expr, out: set) -> set:
     """Add the generators of e to ``out``: every leaf that is not a Rational.
 
-    Sums, products and integer powers are ring operations; any other node
-    (a symbol, pi, I, a float, an unexpected compound) is one generator.
+    Sums, products and integer powers are ring operations, and a Tuple's
+    parts are walked; any other node (a symbol, pi, I, a float, an
+    unexpected compound) is one generator.
     """
     stack, seen = [e], set()
     while stack:
@@ -949,7 +939,8 @@ def _ring_leaves(e: sp.Expr, out: set) -> set:
         if node in seen or node.is_Rational:
             continue
         seen.add(node)
-        if node.is_Add or node.is_Mul or (node.is_Pow and node.exp.is_Integer):
+        if (node.is_Add or node.is_Mul or (node.is_Pow and node.exp.is_Integer)
+                or isinstance(node, sp.Tuple)):
             stack.extend(node.args)
         elif node in _NON_FINITE:
             raise UndefinedExpressionError(f"non-finite constant {node}")
@@ -1107,53 +1098,18 @@ def _relation(kernel: sp.Expr, table: dict):
 
 
 class _RingForm(NamedTuple):
-    """Stage 1's result in ``ring(gens, QQ)``: the value is raw / Π
-    base**power, with ``den`` as ``{base: power}``, and ``num`` is
-    ``raw`` with the kernel relations reduced, so it is zero exactly when
-    the value is zero as a function of the kernels. The relations are
-    those of the roots, r**L = base, and I**2 = -1."""
+    """Stage 1's result in ``ring(gens, QQ)``, as :meth:`_DiffRing._form`
+    makes it: the value is raw / Π base**power, with ``den`` as
+    ``{base: power}``, and ``num`` is ``raw`` with the kernel relations
+    reduced, latest kernel first, so it is zero exactly when the value is
+    zero as a function of the kernels. The relations are those of the
+    roots, r**L = base, and I**2 = -1."""
 
     num: object
     raw: object
     den: dict
     gens: list
     table: dict
-
-
-def _ring_form(body: sp.Expr, table: dict, relations: bool = True,
-               modulo: tuple | None = None) -> _RingForm:
-    """``body`` in the ring of its generators.
-
-    The numerator is the zero polynomial exactly when body is zero as a
-    rational function of its kernels, after the kernel relations (when
-    ``relations``) are reduced, latest kernel first so that what a
-    reduction brings in is reduced afterwards.
-
-    With ``modulo = (base, Φ)``, Φ kernelized with body, the form is that
-    of body's numerator alone (``den`` is empty), with ``raw`` its
-    pseudo-remainder by Φ's numerator in the generator ``base``, taken
-    before the relations are reduced. A Φ whose numerator is free of
-    ``base`` reduces nothing: its leading coefficient would be Φ itself.
-    """
-    leaves = _ring_leaves(body, set())
-    if modulo is not None:
-        _ring_leaves(modulo[1], leaves)
-    plan = _relation_plan(table, leaves) if relations else []
-    for kernel, sym in table.items():
-        if sym in leaves and kernel.has(*_NON_FINITE):
-            raise UndefinedExpressionError(f"non-finite constant in {kernel}")
-    gens = sorted(leaves, key=lambda a: (str(a), sp.default_sort_key(a)))
-    walk = _RingWalk(gens)
-    raw, den = walk.qq(walk(body))
-    if modulo is not None:
-        base, phi = modulo
-        divisor, _ = walk.qq(walk(phi))
-        i = gens.index(base) if base in walk.gen else None
-        if i is not None and divisor.degree(i) > 0:
-            raw = raw.prem(divisor, i)
-        den = {}
-    num = _reduce_relations(raw, gens, plan, lambda v: walk.qq(walk(v)))
-    return _RingForm(num, raw, den, gens, table)
 
 
 def _relation_plan(table: dict, leaves: set) -> list[tuple]:
@@ -1191,8 +1147,8 @@ class _DiffRing(_RingWalk):
     before is lifted (its monomials padded with zeros) when next used.
     One kernelizer serves every walk, so equal kernels share a generator,
     and a subclass may give a symbol a value (:meth:`substitute`) instead
-    of a generator. ``is_zero(ring.claim(element))`` decides an element as
-    it decides an expression, the kernel relations reduced in stage 1."""
+    of a generator. ``is_zero(ring.claim(element))`` decides an element;
+    an expression is decided in a fresh ring (:func:`_stage1`)."""
 
     def __init__(self):
         super().__init__([])
@@ -1221,7 +1177,8 @@ class _DiffRing(_RingWalk):
         return self._lift_poly(num), {self._lift_poly(b): p for b, p in den.items()}, c
 
     def walk(self, e: sp.Expr, values: Mapping | None = None):
-        """The element of e, each symbol of ``values`` taking its element."""
+        """The element of e, each symbol of ``values`` taking its element;
+        a tuple of elements for a Tuple e, walked in one kernelizer pass."""
         body = self.kernelizer.run(_canon_integral_dummies(sp.sympify(e)))
         leaves = sorted(_ring_leaves(body, set()), key=lambda a: (str(a), sp.default_sort_key(a)))
         given = dict(values or {})
@@ -1252,7 +1209,7 @@ class _DiffRing(_RingWalk):
             self.R, *elems = ring(self.gens + tuple(new), ZZ)
             self.gen = dict(zip(self.gens, elems))
         self.memo = {leaf: self.lift(v) for leaf, v in given.items()}
-        return self(body)
+        return tuple(map(self, body)) if isinstance(body, sp.Tuple) else self(body)
 
     def add(self, *elems):
         return self._add([self.lift(e) for e in elems])
@@ -1284,17 +1241,31 @@ class _DiffRing(_RingWalk):
     def claim(self, elem) -> "_Claim":
         return _Claim(self, self.lift(elem))
 
-    def _form(self, elem) -> _RingForm | None:
-        """Stage 1 of a claim: None when it is provably zero, else its
-        ring form over QQ."""
-        if not elem[0]:
-            return None
-        plan = _relation_plan(self.kernelizer.table, {self.gens[i] for i in self.used(elem)})
+    def _form(self, elem, modulo: tuple | None = None) -> _RingForm:
+        """Stage 1 of a claim: its ring form over QQ, whose ``num`` is 0
+        exactly when it is provably zero.
+
+        With ``modulo = (base, divisor)``, the form is that of elem's
+        numerator alone (``den`` is empty), with ``raw`` its
+        pseudo-remainder by the divisor's numerator in the generator
+        ``base``, taken before the relations are reduced. A divisor whose
+        numerator is free of ``base`` reduces nothing: its leading
+        coefficient would be the divisor itself.
+        """
+        used = self.used(elem) | (self.used(modulo[1]) if modulo else set())
+        plan = _relation_plan(self.kernelizer.table, {self.gens[i] for i in used})
         values = {v: self.walk(v) for _, _, v in plan}  # may grow the ring
         raw, den = self.qq(self.lift(elem))
+        if modulo is not None:
+            base, divisor = modulo
+            divisor, _ = self.qq(self.lift(divisor))
+            i = self.gens.index(base) if base in self.gen else None
+            if i is not None and divisor.degree(i) > 0:
+                raw = raw.prem(divisor, i)
+            den = {}
         num = _reduce_relations(raw, list(self.gens), plan,
                                 lambda v: self.qq(self.lift(values[v])))
-        return _RingForm(num, raw, den, list(self.gens), self.kernelizer.table) if num else None
+        return _RingForm(num, raw, den, list(self.gens), self.kernelizer.table)
 
 
 def _unevaluated(p) -> sp.Expr:
@@ -1682,14 +1653,14 @@ def is_zero(e: sp.Expr, samples: int = 8, seed: int = _SEED,
 
     ``modulo = (base, Φ)`` asks whether e vanishes where Φ = 0: both
     stages judge the pseudo-remainder of e's numerator by Φ's in the
-    symbol ``base`` (see :func:`_ring_form`), stage 2 draws its point and
+    symbol ``base`` (see :meth:`_DiffRing._form`), stage 2 draws its point and
     stand-ins for the symbols and formal functions of Φ too, and a verdict
     that is not deterministic carries that remainder as its ``expr``.
     """
     claim = isinstance(e, _Claim)
     e = e if claim else sp.sympify(e)
     form = e.ring._form(e.elem) if claim else _stage1(e, modulo)
-    if form is None:
+    if not form.num:
         return ZeroVerdict(True, "deterministic", expr=sp.S.Zero if claim else e)
     if claim:
         e = e.ring.expr(e.elem)

@@ -20,7 +20,6 @@ from jetquot.hs import (
     flow_jet,
     flowed_constraint_residual,
     general_solution,
-    hs_comparison,
     residual,
     singular_curve,
     surface_csv,
@@ -169,9 +168,9 @@ def test_divergent_moment_keeps_an_integral_and_no_infinity():
                          ids=["exp", "quartic", "atan"])
 def test_surface_is_linear_in_the_comparison_moments(g):
     C = t**2 + 1
-    sol, maps = general_solution(g, C), hs_comparison(g)
-    for gap in (sol.X - (maps.xi + t * maps.alpha + t**2 * maps.beta / 2 + C),
-                sol.U - (maps.alpha + t * maps.beta + C.diff(t))):
+    sol, (M0, M1, M2) = general_solution(g, C), hs._moments(g)
+    for gap in (sol.X - (M0 + t * M1 + t**2 * M2 / 4 + C),
+                sol.U - (M1 + t * M2 / 2 + C.diff(t))):
         assert is_zero(gap).mode == "deterministic"
 
 
@@ -544,21 +543,6 @@ def test_flow_jet_projective_inverse():
     back = flow_jet("projective", -0.2, fwd)
     for key in pt:
         assert abs(float(back[key]) - pt[key]) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Classical solution formula comparison
-# ---------------------------------------------------------------------------
-
-
-def test_comparison_maps_identity():
-    maps = hs_comparison(sp.exp(w))
-    assert sp.simplify(maps.beta_identity_residual()) == 0
-
-
-def test_comparison_rejects_zero_g():
-    with pytest.raises(Exception):
-        hs_comparison(sp.Integer(0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Equation manifolds: restriction, dimension counts, symmetry checks."""
+"""Equation manifolds: restriction, parametric coordinates, symmetry checks."""
 
 import pytest
 import sympy as sp
@@ -10,7 +10,6 @@ from jetquot.pde import (
     PdeManifold,
     RestrictionError,
     check_symmetry,
-    dimension,
     solution_residual,
 )
 from jetquot.symcore import jet, t, x
@@ -64,15 +63,6 @@ def test_restriction_requires_affine_principal():
         PdeManifold(u_t**2 - u_xx, (1, 0))
     with pytest.raises(RestrictionError):
         PdeManifold(u_xx - u, (1, 0))  # u_t absent
-
-
-def test_dimension_formula(burgers, hs):
-    # dim E_k = 3 + 2k for a second-order equation in two variables
-    for k in range(2, 7):
-        assert dimension(burgers, k) == 3 + 2 * k
-        assert dimension(hs, k) == 3 + 2 * k
-    with pytest.raises(Exception):
-        dimension(burgers, 1)
 
 
 def test_parametric_coordinates(hs):

@@ -300,6 +300,26 @@ def test_symcore_and_pde_have_one_rational_normal_form():
     assert re.search(r"if sp\.I in leaves:\n\s+return sp\.cancel\(w\)", texts["symcore.py"])
 
 
+def test_stage1_has_one_ring_type():
+    import ast
+    import pathlib
+
+    import jetquot
+
+    package = pathlib.Path(jetquot.__file__).parent
+    # an expression claim is walked into a fresh _DiffRing: only _cancel
+    # builds a bare _RingWalk, and _DiffRing is its one subclass
+    tree = ast.parse((package / "symcore.py").read_text())
+    owners = {top.name for top in tree.body if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+              for node in ast.walk(top)
+              if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_RingWalk")
+              or (isinstance(node, ast.ClassDef)
+                  and any(getattr(b, "id", None) == "_RingWalk" for b in node.bases))}
+    assert owners == {"_cancel", "_DiffRing"}
+    others = [p.name for p in package.glob("*.py") if p.name != "symcore.py"]
+    assert [name for name in others if "_RingWalk" in (package / name).read_text()] == []
+
+
 # ---------------------------------------------------------------------------
 # Numeric evaluation
 # ---------------------------------------------------------------------------
