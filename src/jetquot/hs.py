@@ -34,9 +34,6 @@ u_xx = jet(0, 2)
 
 w, v = sp.symbols("w v")
 
-#: the Hunter-Saxton equation
-F_HS = jet(1, 1) + u_sym * u_xx + u_x**2 / 2
-
 
 class CauchyError(SymcoreError):
     pass

@@ -339,9 +339,10 @@ class _ModularTokens:
         used: set[int] = set()
         for tok, r in zip(realizations, self.parts):
             for i in sorted(ring.used(r)):
-                if ring.gens[i] in ring.kernels:
+                kernel = ring.kernel(ring.gens[i])
+                if kernel is not None:
                     raise SymcoreError(f"token {tok} is not a rational function of jets: "
-                                       f"it contains {ring.kernels[ring.gens[i]]}")
+                                       f"it contains {kernel}")
                 used.add(i)
         # values are drawn in name order, one per generator in use
         self.order = sorted(used, key=lambda i: str(ring.gens[i]))

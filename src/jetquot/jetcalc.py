@@ -83,16 +83,37 @@ class VectorField:
 class ProlongedField:
     """A vector field lifted to J^order.
 
-    ``coeffs`` maps each JetVar of total order ≤ order to the coefficient
-    of the corresponding ∂ in the prolongation; the (0,0) entry is c.
+    ``coeffs`` maps each JetVar read so far to the coefficient of the
+    corresponding ∂ in the prolongation; it is seeded with the (0,0)
+    entry c, and :meth:`coefficient` adds the others on first read.
     """
 
     field: VectorField
     order: int
+    cap: int = DEFAULT_ORDER_CAP
     coeffs: dict[JetVar, sp.Expr] = field(repr=False, default_factory=dict)
 
+    def __post_init__(self):
+        self.coeffs.setdefault(JetVar(0, 0), self.field.c)
+
     def coefficient(self, v: JetVar) -> sp.Expr:
-        return self.coeffs[v]
+        """φ^σ for v = u_σ, made from its lower neighbour by the recursion
+            φ^{σ,y} = D_y(φ^σ) − u_{σt} D_y(a) − u_{σx} D_y(b),
+        t from (i−1, j) when i > 0 and x from (i, j−1) otherwise, as
+        ``PdeManifold.rhs`` is made."""
+        if v.order > self.order:
+            raise OrderCapError(f"{v.symbol} has order {v.order} > prolongation order {self.order}")
+        out = self.coeffs.get(v)
+        if out is None:
+            i, j = v.t_order, v.x_order
+            if i > 0:
+                D, prev, u_st, u_sx = Dt, JetVar(i - 1, j), jet(i, j), jet(i - 1, j + 1)
+            else:
+                D, prev, u_st, u_sx = Dx, JetVar(i, j - 1), jet(i + 1, j - 1), jet(i, j)
+            out = self.coeffs[v] = (D(self.coefficient(prev), self.cap)
+                                    - u_st * D(self.field.a, self.cap)
+                                    - u_sx * D(self.field.b, self.cap))
+        return out
 
     def apply(self, e: sp.Expr) -> sp.Expr:
         """Directional derivative of e along the prolonged field: one
@@ -103,49 +124,17 @@ class ProlongedField:
             if sym in images:
                 return images[sym]
             ij = jet_orders(sym)
-            if ij is None:
-                return sp.S.Zero
-            v = JetVar(*ij)
-            if v.order > self.order:
-                raise OrderCapError(
-                    f"{sym} has order {v.order} > prolongation order {self.order}"
-                )
-            return self.coeffs[v]
+            return sp.S.Zero if ij is None else self.coefficient(JetVar(*ij))
 
         return _derivation(sp.sympify(e), leaf)
 
 
 def prolong(X: VectorField, k: int, cap: int = DEFAULT_ORDER_CAP) -> ProlongedField:
-    """Prolong a point vector field to order k.
-
-    Coefficients follow the recursion
-        φ^{σ,y} = D_y(φ^σ) − u_{σt} D_y(a) − u_{σx} D_y(b),
-    seeded with φ^{()} = c.
-    """
+    """Prolong a point vector field to order k; each coefficient is made
+    when it is first read (see :meth:`ProlongedField.coefficient`)."""
     if k < 0:
         raise SymcoreError("prolongation order must be non-negative")
-    Da_t, Da_x = Dt(X.a, cap), Dx(X.a, cap)
-    Db_t, Db_x = Dt(X.b, cap), Dx(X.b, cap)
-    coeffs = {JetVar(0, 0): X.c}
-    for n in range(1, k + 1):
-        for i in range(n, -1, -1):
-            j = n - i
-            v = JetVar(i, j)
-            if i > 0:
-                prev = coeffs[JetVar(i - 1, j)]
-                coeffs[v] = (
-                    Dt(prev, cap)
-                    - jet(i, j) * Da_t
-                    - jet(i - 1, j + 1) * Db_t
-                )
-            else:
-                prev = coeffs[JetVar(i, j - 1)]
-                coeffs[v] = (
-                    Dx(prev, cap)
-                    - jet(i + 1, j - 1) * Da_x
-                    - jet(i, j) * Db_x
-                )
-    return ProlongedField(X, k, coeffs)
+    return ProlongedField(X, k, cap)
 
 
 def apply_prolonged(X: VectorField, e: sp.Expr, k: int | None = None,

@@ -94,16 +94,6 @@ class PdeManifold:
         return not (v.t_order >= self.principal.t_order
                     and v.x_order >= self.principal.x_order)
 
-    def parametric_coordinates(self, k: int) -> list[JetVar]:
-        """The jet coordinates of order ≤ k surviving restriction (plus t, x)."""
-        coords = []
-        for n in range(k + 1):
-            for i in range(n + 1):
-                v = JetVar(i, n - i)
-                if self.is_parametric(v):
-                    coords.append(v)
-        return coords
-
     def __repr__(self):
         return f"PdeManifold({self.F} = 0, principal={self.principal.name})"
 

@@ -689,11 +689,15 @@ class _Kernelizer:
         self.counter = 0
         #: each node's walk, as made on its first visit
         self.walked: dict[sp.Expr, sp.Expr] = {}
+        #: the free symbols of each kernel symbol's kernel, the kernels inside it unkernelized
+        self.inner: dict[Symbol, set] = {}
 
     def _sym(self, kernel: sp.Expr) -> Symbol:
         if kernel not in self.table:
             self.counter += 1
-            self.table[kernel] = Symbol(f"_k{self.counter}")
+            sym = self.table[kernel] = Symbol(f"_k{self.counter}")
+            inner = set().union(*[self.inner.get(s, {s}) for s in _free_symbols(kernel)])
+            self.inner[sym] = inner - set(kernel.variables if isinstance(kernel, sp.Integral) else ())
         return self.table[kernel]
 
     def run(self, e: sp.Expr) -> sp.Expr:
@@ -1153,11 +1157,14 @@ class _DiffRing(_RingWalk):
     def __init__(self):
         super().__init__([])
         self.kernelizer = _Kernelizer()
-        self.kernels: dict = {}  # a kernel generator -> its expression
 
     @property
     def gens(self) -> tuple:
         return self.R.symbols
+
+    def kernel(self, sym: sp.Expr) -> sp.Expr | None:
+        """The expression of a kernel generator, None for any other."""
+        return unkernelize(sym, self.kernelizer.table) if sym in self.kernelizer.inner else None
 
     def substitute(self, sym: sp.Expr):
         """The value of a leaf that is not a generator, or None."""
@@ -1188,24 +1195,21 @@ class _DiffRing(_RingWalk):
                 if value is not None:
                     given[leaf] = value
         new = [leaf for leaf in leaves if leaf not in self.gen and leaf not in given]
-        kernels = {}
         if new:
             inverse = {s: k for k, s in self.kernelizer.table.items()}
             for sym in new:
-                if sym in inverse:
-                    if inverse[sym].has(*_NON_FINITE):
-                        raise UndefinedExpressionError(f"non-finite constant in {inverse[sym]}")
-                    kernels[sym] = unkernelize(sym, self.kernelizer.table)
+                if sym in inverse and inverse[sym].has(*_NON_FINITE):
+                    raise UndefinedExpressionError(f"non-finite constant in {inverse[sym]}")
         # a kernel generator stays its expression, so no symbol inside it may
         # take a value; a new kernel is checked against substitute once
+        inner, fresh = self.kernelizer.inner, set(new)
         for leaf in leaves:
-            if leaf in kernels or (given and leaf in self.kernels):
-                kernel = kernels.get(leaf, self.kernels.get(leaf))
-                for s in _free_symbols(kernel):
-                    if s in given or (leaf in kernels and self.substitute(s) is not None):
-                        raise SymcoreError(f"{s} takes a value but occurs inside the kernel {kernel}")
+            if leaf in inner and (leaf in fresh or given):
+                for s in inner[leaf]:
+                    if s in given or (leaf in fresh and self.substitute(s) is not None):
+                        raise SymcoreError(f"{s} takes a value but occurs inside "
+                                           f"the kernel {self.kernel(leaf)}")
         if new:
-            self.kernels.update(kernels)
             self.R, *elems = ring(self.gens + tuple(new), ZZ)
             self.gen = dict(zip(self.gens, elems))
         self.memo = {leaf: self.lift(v) for leaf, v in given.items()}
@@ -1302,7 +1306,7 @@ class _Derivation:
     def image(self, g):
         out = self.images.get(g)
         if out is None:
-            kernel = self.ring.kernels.get(g)
+            kernel = self.ring.kernel(g)
             e = _derivation(kernel, self.leaf) if kernel is not None else (
                 self.leaf(g) if g.is_Symbol else sp.S.Zero)
             out = self.images[g] = self.ring.walk(e)

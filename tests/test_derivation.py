@@ -43,7 +43,7 @@ def total_oracle(e, direction):
 def prolonged_oracle(P, e):
     out = P.field.a * e.diff(t) + P.field.b * e.diff(x)
     for sym, (i, j) in jets_in(e).items():
-        out += P.coeffs[symcore.JetVar(i, j)] * e.diff(sym)
+        out += P.coefficient(symcore.JetVar(i, j)) * e.diff(sym)
     return out
 
 

@@ -5,6 +5,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetquot import catalog
 from jetquot.jetcalc import (
     Dt,
     Dx,
@@ -56,9 +57,44 @@ def test_prolongation_first_order_formula():
     assert sp.expand(P.coefficient(JetVar(0, 1)) - expected) == 0
 
 
+def _jets(k):
+    return [JetVar(i, n - i) for n in range(k + 1) for i in range(n + 1)]
+
+
 def test_prolongation_translation_is_trivial():
     P = prolong(VectorField(1, 0, 0), 3)
-    assert all(coeff == 0 for coeff in P.coeffs.values())
+    assert len(_jets(3)) == 10
+    assert all(P.coefficient(v) == 0 for v in _jets(3))
+
+
+def eager_prolongation(X, k):
+    """Every coefficient of order ≤ k, each from its lower neighbour, t first."""
+    coeffs = {JetVar(0, 0): X.c}
+    for n in range(1, k + 1):
+        for i in range(n, -1, -1):
+            j = n - i
+            if i > 0:
+                coeffs[JetVar(i, j)] = (Dt(coeffs[JetVar(i - 1, j)]) - jet(i, j) * Dt(X.a)
+                                        - jet(i - 1, j + 1) * Dt(X.b))
+            else:
+                coeffs[JetVar(i, j)] = (Dx(coeffs[JetVar(i, j - 1)]) - jet(i + 1, j - 1) * Dx(X.a)
+                                        - jet(i, j) * Dx(X.b))
+    return coeffs
+
+
+def test_coefficients_on_first_read_equal_the_eager_table():
+    # the last field depends on u, so that φ^tx from φ^x would differ in form
+    for X in [*catalog.get("burgers-full").gens, VectorField(t * u, x**2 * u, u**3)]:
+        eager = eager_prolongation(X, 3)
+        for v in _jets(3):
+            assert prolong(X, 3).coefficient(v) == eager[v], (X, v)
+
+
+def test_apply_makes_only_the_coefficients_it_reads():
+    # u_xxxxxx needs φ^x, ..., φ^xxxxxx and c, not the other 21 of order ≤ 6
+    P = prolong(catalog.get("burgers-full").gens[-1], 6)
+    P.apply(jet(0, 6))
+    assert sorted(P.coeffs) == [JetVar(0, j) for j in range(7)]
 
 
 def test_prolongation_scaling():

@@ -65,14 +65,6 @@ def test_restriction_requires_affine_principal():
         PdeManifold(u_xx - u, (1, 0))  # u_t absent
 
 
-def test_parametric_coordinates(hs):
-    coords = hs.parametric_coordinates(2)
-    names = {c.name for c in coords}
-    # u_tx is principal, everything else of order <= 2 survives
-    assert "u_tx" not in names
-    assert {"u", "u_t", "u_x", "u_tt", "u_xx"} <= names
-
-
 @pytest.mark.parametrize("X", BURGERS_GENS)
 def test_burgers_symmetries_exact(burgers, X):
     res = check_symmetry(X, burgers)

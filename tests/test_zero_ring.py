@@ -1,8 +1,9 @@
 """Stage 1 of is_zero: the factored-denominator polynomial ring.
 
 Covers the in-ring reductions, the walks that visit each distinct
-subexpression once, remainders modulo an implicit quotient solution, the
-refusal of undefined input, the
+subexpression once, kernel expressions built only when read and the
+guard on the symbols inside them, remainders modulo an implicit quotient
+solution, the refusal of undefined input, the
 checks that normalize only failing claims, and a differential test of
 the ring against SymPy's Expr-level rational normal form over the whole
 catalog and a seeded twin of each entry's first generator and syzygy.
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from jetquot import catalog, symcore
 from jetquot.invariants import (
+    FrameRing,
     QuotientSolution,
     Syzygy,
     check_invariant,
@@ -26,6 +28,7 @@ from jetquot.invariants import (
 from jetquot.jetcalc import VectorField
 from jetquot.pde import PdeManifold, check_symmetry
 from jetquot.symcore import (
+    SymcoreError,
     UndefinedExpressionError,
     _Kernelizer,
     _stage1,
@@ -281,6 +284,34 @@ def test_kernelizer_rewrites_each_distinct_subexpression_once(monkeypatch):
     distinct = set(symcore._nodes(claim))
     assert sum(1 for _ in sp.preorder_traversal(claim)) > 50 * len(distinct)
     assert len(visits) == len(set(visits)) and set(visits) <= distinct
+
+
+_alpha, _J = symcore.formal("alpha"), sp.Symbol("J")
+#: A = ∫₀ᴶ v/α(v) dv, a kernel with a kernel inside it
+_A = symcore.formal_integral(_v / _alpha(_v), _v, _J)
+
+
+def test_kernel_expressions_are_built_only_when_read(monkeypatch):
+    calls = []
+    unkernelize = symcore.unkernelize
+    monkeypatch.setattr(symcore, "unkernelize", lambda *a: calls.append(a) or unkernelize(*a))
+    assert exact_zero((_A + 1)**2 - _A**2 - 2 * _A - 1)
+    assert calls == []
+
+
+def test_no_symbol_inside_a_kernel_takes_a_value():
+    # the inner symbols of sqrt(A) are those of A, less its bound variable
+    k = _Kernelizer()
+    assert k.inner[k.run(symcore._canon_integral_dummies(sp.sqrt(_A)))] == {_J}
+    ring = symcore._DiffRing()
+    with pytest.raises(SymcoreError, match=r"J takes a value .* kernel sqrt\(Integral"):
+        ring.walk(sp.sqrt(_A) + 1, values={_J: ring.walk(a)})
+    # a principal jet takes its rhs in a frame's ring
+    frame_ring = FrameRing(catalog.get("hunter-saxton").manifold)
+    with pytest.raises(SymcoreError, match=r"u_tx takes a value .* kernel exp\(u_tx\)"):
+        frame_ring.walk(sp.exp(jet(1, 1)) * u_x)
+    frame_ring.walk(sp.exp(jet(0, 2)))
+    assert frame_ring.kernel(frame_ring.gens[-1]) == sp.exp(jet(0, 2))
 
 
 def test_a_chain_of_shared_products_is_decided():
