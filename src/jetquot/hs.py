@@ -25,8 +25,8 @@ from functools import cached_property
 import sympy as sp
 from sympy.integrals.rationaltools import ratint
 
-from .symcore import (EvalError, SymcoreError, compile_numeric, differentiate, exact_zero,
-                      is_zero, jet, t, x)
+from .symcore import (EvalError, SymcoreError, _cancel, compile_numeric, differentiate,
+                      exact_zero, is_zero, jet, t, x)
 
 u_sym = jet(0, 0)
 u_x = jet(0, 1)
@@ -103,7 +103,8 @@ def _closed(e: sp.Integral) -> sp.Expr:
     over QQ: its real form is a RootSum or costs ``ratint`` minutes, so the
     moment is kept for quadrature. The moment is F(w) − F(0), with each
     log term c·log(a) of F taken as c·log(a(w)/a(0)), which is real where
-    a keeps its sign at 0 (log(w − 3) − log(−3) is not). Any other f
+    a keeps its sign at 0 (log(w − 3) − log(−3) is not). An f of the
+    form P(v)·exp(a·v + c) takes F from :func:`_exp_poly`. Any other f
     goes through ``doit``. X and U are put in canonical form once.
     """
     f, (var, lo, hi) = e.function, e.limits[0]
@@ -124,9 +125,25 @@ def _closed(e: sp.Integral) -> sp.Expr:
             return e
         out = F.subs(var, hi) - F0 + sum(c * sp.log(a.subs(var, hi) / a.subs(var, lo))
                                           for c, a in logs)
+    elif (F := _exp_poly(f, var)) is not None:
+        out = F.subs(var, hi) - F.subs(var, lo)
     else:
         out = e.doit()
     return e if out.has(*_UNCLOSED) else out
+
+
+def _exp_poly(f: sp.Expr, var: sp.Symbol) -> sp.Expr | None:
+    """The antiderivative exp(a·var + c)·Σⱼ (−1)ʲ P⁽ʲ⁾/aʲ⁺¹ of
+    f = P(var)·exp(a·var + c), for P a polynomial in var and a a nonzero
+    number; None for any other f."""
+    factors = sp.Mul.make_args(f)
+    exps = [m for m in factors if isinstance(m, sp.exp)]
+    P = sp.Mul(*[m for m in factors if not isinstance(m, sp.exp)])
+    a = sp.Add(*[m.args[0] for m in exps]).diff(var)
+    if not (a.is_number and a.is_zero is False and P.is_polynomial(var)):
+        return None
+    return sp.Mul(*exps) * sp.Add(*[(-1)**j * P.diff(var, j) / a**(j + 1)
+                                    for j in range(sp.degree(P, var) + 1)])
 
 
 def _cubic_log(A: sp.Poly, S: sp.Poly) -> bool:
@@ -146,11 +163,24 @@ def _check_parts(g: sp.Expr, X_part: sp.Expr, U_part: sp.Expr) -> None:
             raise SymcoreError("antiderivative does not differentiate to the required integrand")
 
 
+def _form(e: sp.Expr) -> sp.Expr:
+    """The canonical p/q form of e: :func:`symcore._cancel` for a rational
+    function of e's symbols over QQ, which prints as ``sp.cancel`` does,
+    and ``sp.cancel(sp.together(e))`` for anything else. There SymPy reads
+    the roots and exponentials of one base (sqrt(2) and 1/sqrt(2),
+    exp(2) and exp(-2)) as powers of one generator, where ``_cancel``
+    makes each its own leaf; a Float stays a Float."""
+    if all(n.is_Symbol or n.is_Rational or n.is_Add or n.is_Mul
+           or (n.is_Pow and n.exp.is_Integer) for n in sp.preorder_traversal(e)):
+        return _cancel(e)
+    return sp.cancel(sp.together(e))
+
+
 def _canonical(e: sp.Expr) -> sp.Expr:
-    """cancel(together(e)) for a rational function of e's symbols, the
-    canonical p/q form; sp.simplify only for anything else."""
+    """The canonical p/q form (:func:`_form`) of a rational function of
+    e's symbols; sp.simplify only for anything else."""
     if e.is_rational_function():
-        return sp.cancel(sp.together(e))
+        return _form(e)
     return sp.simplify(e)
 
 
@@ -190,15 +220,15 @@ class ParamSolution:
 
     @cached_property
     def X_w(self) -> sp.Expr:
-        return sp.cancel(sp.together(_integrands(self.g)[0]))
+        return _form(_integrands(self.g)[0])
 
     @cached_property
     def U_w(self) -> sp.Expr:
-        return sp.cancel(sp.together(_integrands(self.g)[1]))
+        return _form(_integrands(self.g)[1])
 
     @cached_property
     def X_ww(self) -> sp.Expr:
-        return sp.cancel(sp.together(_integrands(self.g)[0].diff(w)))
+        return _form(differentiate(_integrands(self.g)[0], w))
 
     @cached_property
     def X_t(self) -> sp.Expr:
@@ -224,7 +254,7 @@ class ParamSolution:
             "u": self.U,
             "u_x": ux,
             "u_t": self.U_t + self.U_w * wt,
-            "u_xx": sp.cancel(ux.diff(w)) / self.X_w,
+            "u_xx": _cancel(ux.diff(w)) / self.X_w,
             "u_tx": ux.diff(t) + ux.diff(w) * wt,
         }
 
@@ -276,10 +306,8 @@ def general_solution(g, C, validity: tuple = ()) -> ParamSolution:
     M0, M1, M2 = _moments(g)
     gv = g.subs(w, v)
     X, U = M0 + t * M1 + t**2 * M2 / 4, M1 + t * M2 / 2
-    X = (sp.Integral((t * v + 2)**2 * gv, (v, 0, w)) / 4 if X.has(sp.Integral)
-         else sp.cancel(sp.together(X)))
-    U = (sp.Integral((t * v + 2) * v * gv, (v, 0, w)) / 2 if U.has(sp.Integral)
-         else sp.cancel(sp.together(U)))
+    X = sp.Integral((t * v + 2)**2 * gv, (v, 0, w)) / 4 if X.has(sp.Integral) else _form(X)
+    U = sp.Integral((t * v + 2) * v * gv, (v, 0, w)) / 2 if U.has(sp.Integral) else _form(U)
     _check_parts(g, X, U)
     degenerate = exact_zero(g)
     conds = tuple(sp.sympify(c) for c in validity)
@@ -479,7 +507,7 @@ def cauchy_g(t0, u0) -> sp.Expr | list[sp.Expr]:
     # quartic formulas there, and may not return
     if branches is None and not (
             slope.is_rational_function(x)
-            and _poly_solve(sp.numer(sp.cancel(sp.together(slope))), x) is None):
+            and _poly_solve(sp.numer(_form(slope)), x) is None):
         branches = sp.solve(sp.Eq(2 * u0p / (2 - t0 * u0p), w), x)
     if not branches:
         raise CauchyError("could not invert the slope map symbolically; "
@@ -488,7 +516,7 @@ def cauchy_g(t0, u0) -> sp.Expr | list[sp.Expr]:
     for sol_x in branches:
         # a non-rational g (u0 = x^3) is simplified from its cancelled form,
         # which keeps the expanded denominator that the command prints
-        gw = _canonical(sp.cancel(sp.together(g_of_x.subs(x, sol_x))))
+        gw = _canonical(_form(g_of_x.subs(x, sol_x)))
         if gw not in out:
             out.append(gw)
     return out[0] if len(out) == 1 else out
@@ -509,7 +537,7 @@ def fit_C(sol: ParamSolution, t0, u0, w_end=0, side="-") -> sp.Expr:
 
     w_end, end = sp.sympify(w_end), None
     if w_end.is_finite and U_part.is_rational_function(w):  # its value, where continuous
-        num, den = (p.subs(w, w_end) for p in sp.fraction(sp.together(U_part)))
+        num, den = (p.subs(w, w_end) for p in sp.fraction(_form(U_part)))
         end = None if exact_zero(den) else num / den
     end = sp.limit(U_part, w, w_end, side) if end is None else end
     if end.has(sp.oo, -sp.oo, sp.zoo, sp.nan):
@@ -622,7 +650,7 @@ def transform_g(generator: str, s, g) -> sp.Expr:
     if generator == "time-translation":
         # a reduced argument, and the prefactor factored with the factors of
         # g that are rational in w, so the result prints in lowest terms
-        factors = sp.Mul.make_args(g.subs(w, sp.cancel(2 * w / (2 - s * w))))
+        factors = sp.Mul.make_args(g.subs(w, _form(2 * w / (2 - s * w))))
         rational = [f for f in factors if f.is_rational_function(w)]
         rest = [f for f in factors if not f.is_rational_function(w)]
         return sp.factor(16 / (2 - s * w)**4 * sp.Mul(*rational)) * sp.Mul(*rest)

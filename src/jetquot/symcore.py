@@ -794,8 +794,11 @@ class _Kernelizer:
 def _cancel(w: sp.Expr) -> sp.Expr:
     """w as p/q over ZZ in the ring of its leaves (see :func:`_ring_leaves`)
     with gcd(p, q) removed and q's leading coefficient positive, the
-    generators in SymPy's order, so that over ZZ the form is the one
-    ``sp.cancel`` prints. Equal
+    generators in SymPy's order, so that for a rational function over QQ
+    of symbols the form is the one ``sp.cancel`` prints. A root or an
+    exponential of one base is its own leaf here: sqrt(x) + 1/sqrt(x) and
+    exp(x) + exp(-x) stay sums, where ``sp.cancel`` reads b**(p/q) and
+    exp(k*a) as powers of one generator. Equal
     rational functions of the same leaves give the identical expression;
     a Float leaf is its exact binary Rational. w holding I is left to
     ``sp.cancel``, which reduces I**2 = -1 over ZZ_I; w is returned as it

@@ -27,7 +27,7 @@ from jetquot.hs import (
     u_x_of_w,
 )
 from jetquot.pde import solution_residual
-from jetquot.symcore import SymcoreError, is_zero, jet, t, x
+from jetquot.symcore import SymcoreError, differentiate, is_zero, jet, t, x
 
 w = sp.Symbol("w")
 u_x, u_xx = jet(0, 1), jet(0, 2)
@@ -242,6 +242,44 @@ def test_a_cubic_log_part_is_kept_for_quadrature(g, monkeypatch):
     sol = general_solution(g, sp.Integer(0))
     assert sol.X.has(sp.Integral) and sol.U.has(sp.Integral)
     assert math.isfinite(sol.x_of(0.5, 0.3)) and math.isfinite(sol.u_of(0.5, 0.3))
+
+
+_slopes = st.sampled_from([-2, sp.Rational(-1, 2), 1, 3])
+_rationals = st.builds(sp.Rational, st.integers(-4, 4), st.integers(1, 3))
+
+
+@given(st.lists(_rationals, min_size=1, max_size=4).filter(any), _slopes, _rationals)
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_exp_poly_moments_differentiate_to_their_integrand(coeffs, a, c):
+    # a nonzero P of degree <= 3 over QQ: F' = P·exp(a·v + c) exactly, and F + v
+    # is refuted
+    v = sp.Symbol("v")
+    f = sum(q * v**k for k, q in enumerate(coeffs)) * sp.exp(a * v + c)
+    F = hs._exp_poly(f, v)
+    assert is_zero(differentiate(F, v) - f).mode == "deterministic"
+    assert is_zero(differentiate(F + v, v) - f).mode == "nonzero"
+
+
+@pytest.mark.parametrize("f", ["exp(v**2)", "exp(v)/(v + 1)", "exp(v)*sqrt(v)", "exp(t*v)",
+                               "exp(v)*exp(v**2)"])
+def test_exp_poly_refuses_other_integrands(f):
+    v = sp.Symbol("v")
+    assert hs._exp_poly(sp.sympify(f, locals={"t": t, "v": v}), v) is None
+
+
+@pytest.mark.parametrize("g", [sp.exp(w), (w**2 + 1) * sp.exp(-2 * w)], ids=["exp", "exp2"])
+def test_exp_poly_moments_give_the_surface_of_doit(g, monkeypatch):
+    # no exp-polynomial moment reaches Integral.doit, and the surface is the
+    # one that doit gives
+    def refuse(self, **hints):
+        raise AssertionError(f"{self} reached Integral.doit")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sp.Integral, "doit", refuse)
+        sol = general_solution(g, t**2)
+    monkeypatch.setattr(hs, "_exp_poly", lambda f, var: None)
+    ref = general_solution(g, t**2)
+    assert (sol.X, sol.U) == (ref.X, ref.U)
 
 
 def test_degenerate_g_is_flagged():
@@ -504,6 +542,19 @@ def test_time_translation_cancels_the_rational_factors_of_g(capsys):
     assert cli.main(["hs", "transform", "--generator", "time-translation", "--s", "1",
                      "--g", "exp(2*w)/(1+w)"]) == 0
     assert capsys.readouterr().out == "g_s(w) = -16*exp(-4*w/(w - 2))/((w - 2)**3*(w + 2))\n"
+
+
+@pytest.mark.parametrize("generator, s, g, printed", [
+    ("time-translation", "1", "1/(1+w^2)", "16/(5*w**4 - 24*w**3 + 40*w**2 - 32*w + 16)"),
+    ("scaling", "2", "1/(w^3+2)", "1/(w**3*exp(2) + 2*exp(2))"),
+], ids=["over QQ", "exp(-2)"])
+def test_a_rational_label_prints_as_sympy_cancels_it(capsys, generator, s, g, printed):
+    # symcore's normal form over QQ, SymPy's where a number such as exp(-2)
+    # is a power of exp(2): _cancel would keep exp(-2)/(w**3 + 2)
+    from jetquot import cli
+
+    assert cli.main(["hs", "transform", "--generator", generator, "--s", s, "--g", g]) == 0
+    assert capsys.readouterr().out == f"g_s(w) = {printed}\n"
 
 
 def test_transform_g_table():

@@ -286,6 +286,7 @@ def test_zero_decisions_go_through_the_zero_test():
 
 
 def test_symcore_and_pde_have_one_rational_normal_form():
+    import ast
     import pathlib
     import re
 
@@ -298,6 +299,22 @@ def test_symcore_and_pde_have_one_rational_normal_form():
     assert [name for name, text in texts.items() if "sp.together(" in text] == []
     assert [text.count("sp.cancel(") for text in texts.values()] == [1, 0]
     assert re.search(r"if sp\.I in leaves:\n\s+return sp\.cancel\(w\)", texts["symcore.py"])
+    # hs and cli take the same form through hs._form; SymPy's cancel is left
+    # to its fallback for a form that is not rational over QQ, and together
+    # also to the fraction that hs._hermite reduces
+    calls = sorted({(name, fn.name, node.func.attr)
+                    for name in ("hs.py", "cli.py")
+                    for fn in ast.walk(ast.parse((package / name).read_text()))
+                    if isinstance(fn, ast.FunctionDef)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and getattr(node.func.value, "id", None) == "sp"
+                    and node.func.attr in ("cancel", "together")})
+    assert calls == [("hs.py", "_form", "cancel"), ("hs.py", "_form", "together"),
+                     ("hs.py", "_hermite", "together")]
+    hs_text = (package / "hs.py").read_text()
+    assert hs_text.count("return sp.cancel(sp.together(e))") == 1
+    assert hs_text.count("sp.fraction(sp.together(f))") == 1
 
 
 def test_stage1_has_one_ring_type():
