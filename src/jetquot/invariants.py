@@ -17,7 +17,6 @@ expression is built on the way.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -26,6 +25,7 @@ import sympy as sp
 from sympy import Symbol
 
 from .jetcalc import VectorField, apply_prolonged, total_leaf
+from .modular import _eval_mod, _nullspace_mod, _rational_reconstruction
 from .pde import PdeManifold
 from .symcore import (
     _KERNELS,
@@ -368,83 +368,24 @@ class _ModularTokens:
         return values
 
 
-def _eval_mod(poly, point: list[int], p: int) -> int:
-    total = 0
-    for monom, c in poly.items():
-        term = c
-        for v, e in zip(point, monom):
-            if e:
-                term = term * pow(v, e, p) % p
-        total += term
-    return total % p
-
-
 def _sample_rows(tokens: _ModularTokens, monomials: list[tuple[int, ...]], p: int,
                  count: int, rng: random.Random) -> list[list[int]]:
     """``count`` rows of monomial values mod p, at points where no
-    denominator vanishes."""
+    denominator vanishes. ``monomials`` starts with (), and each comes
+    after its prefix, whose value times one token value is its own."""
+    index = {m: k for k, m in enumerate(monomials)}
+    steps = [(index[m[:-1]], m[-1]) for m in monomials[1:]]
     rows = []
     for _ in range(count + _MAX_RETRIES):
         values = tokens.sample(p, rng)
         if values is None:
             continue
-        rows.append([math.prod(values[i] for i in m) % p for m in monomials])
+        rows.append(row := [1])
+        for k, i in steps:
+            row.append(row[k] * values[i] % p)
         if len(rows) == count:
             return rows
     raise SymcoreError("could not sample enough generic points")
-
-
-def _rref_mod(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """(nonzero rows of the reduced row echelon form over GF(p), pivot columns)."""
-    a = [list(r) for r in rows]
-    pivots: list[int] = []
-    for c in range(len(a[0]) if a else 0):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], -1, p)
-        a[r] = pivot = [v * inv % p for v in a[r]]
-        # the pivot row is zero left of c, so only columns from c change
-        tail = pivot[c:]
-        for i, row in enumerate(a):
-            if i != r and row[c]:
-                f = row[c]
-                row[c:] = [(v - f * w) % p for v, w in zip(row[c:], tail)]
-        pivots.append(c)
-        if len(pivots) == len(a):
-            break
-    return a[:len(pivots)], pivots
-
-
-def _nullspace_mod(rows: list[list[int]], p: int) -> list[list[int]]:
-    """A basis of {v : rows·v = 0} over GF(p) in reduced row echelon form,
-    so each vector's first nonzero entry is 1."""
-    ncols = len(rows[0])
-    reduced, pivots = _rref_mod(rows, p)
-    basis = []
-    for f in sorted(set(range(ncols)) - set(pivots)):
-        v = [0] * ncols
-        v[f] = 1
-        for row, c in zip(reduced, pivots):
-            v[c] = -row[f] % p
-        basis.append(v)
-    return _rref_mod(basis, p)[0]
-
-
-def _rational_reconstruction(a: int, p: int) -> sp.Rational | None:
-    """The n/d ≡ a (mod p) with |n|, d ≤ √(p/2), or None when there is none
-    (Wang's half-extended Euclidean algorithm); the bound makes it unique."""
-    bound = math.isqrt(p // 2)
-    r0, r1, s0, s1 = p, a % p, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if abs(s1) > bound or math.gcd(r1, s1) != 1:
-        return None
-    return sp.Rational(r1, s1)
 
 
 def discover_syzygy(invariants: dict[str, sp.Expr], fr: TresseFrame, M: PdeManifold,
@@ -475,7 +416,9 @@ def discover_syzygy(invariants: dict[str, sp.Expr], fr: TresseFrame, M: PdeManif
     tokens = list(realizations)
     combos = [combo for d in range(degree + 1)
               for combo in itertools.combinations_with_replacement(range(len(tokens)), d)]
-    monomials = [sp.Mul(*[tokens[i] for i in combo]) for combo in combos]
+
+    def expr(coeffs) -> sp.Expr:
+        return sp.Add(*[c * sp.Mul(*[tokens[i] for i in m]) for c, m in zip(coeffs, combos) if c])
 
     rows = _sample_rows(modular, combos, _P1, len(combos) + 10, rng)
     basis = _nullspace_mod(rows, _P1)
@@ -486,14 +429,12 @@ def discover_syzygy(invariants: dict[str, sp.Expr], fr: TresseFrame, M: PdeManif
     for vector in basis:
         coeffs = [_rational_reconstruction(c, _P1) for c in vector]
         if None in coeffs:
-            residues = [c if c <= _P1 // 2 else c - _P1 for c in vector]
-            result.spurious.append(sp.Add(*[c * m for c, m in zip(residues, monomials)]))
+            result.spurious.append(expr([c if c <= _P1 // 2 else c - _P1 for c in vector]))
             continue
-        candidate = Syzygy(sp.Add(*[c * m for c, m in zip(coeffs, monomials)]))
+        candidate = Syzygy(expr(coeffs))
         lifted = [c.p * pow(c.q, -1, _P2) % _P2 for c in coeffs]
-        if any(sum(c * v for c, v in zip(lifted, row)) % _P2 for row in confirm):
-            result.spurious.append(candidate.lhs)
-        elif check_syzygy(candidate, fr, invariants, M):
+        confirmed = not any(sum(c * v for c, v in zip(lifted, row)) % _P2 for row in confirm)
+        if confirmed and check_syzygy(candidate, fr, invariants, M):
             result.syzygies.append(candidate)
         else:
             result.spurious.append(candidate.lhs)

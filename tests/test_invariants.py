@@ -1,13 +1,15 @@
 """Tresse frames, invariants, syzygies and discovery."""
 
+import itertools
 import math
+import random
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetquot import invariants
+from jetquot import invariants, modular
 from jetquot.catalog import get, names
 from jetquot.invariants import (
     DegenerateFrameError,
@@ -222,7 +224,7 @@ def test_discovery_hs(hs_frame, hs):
 
 
 def test_discovery_degree_cap(hs_frame, hs):
-    with pytest.raises(Exception):
+    with pytest.raises(SymcoreError, match="ansatz degree capped at 4"):
         discover_syzygy({"H": u_xx}, hs_frame, hs, degree=5)
 
 
@@ -299,8 +301,27 @@ def test_rational_reconstruction_stays_within_its_bound(a):
 def test_discovery_does_no_linear_algebra_over_qq():
     import inspect
 
-    source = inspect.getsource(invariants)
-    assert "sp.Matrix(" not in source and ".nullspace(" not in source
+    for module in (invariants, modular):
+        source = inspect.getsource(module)
+        assert "sp.Matrix(" not in source and ".nullspace(" not in source
+
+
+def test_sample_rows_are_the_monomial_products(hs_frame):
+    # each monomial's value is built from its prefix's; the rows are the
+    # products of the token values that the same draws give
+    tokens = [I_tok, J_tok, H_tok, HI, HJ]
+    realizations = invariants._token_elements(sp.Add(*tokens), hs_frame, {"H": u_xx})
+    modular_tokens = invariants._ModularTokens(hs_frame.ring, realizations)
+    combos = [combo for d in range(4)
+              for combo in itertools.combinations_with_replacement(range(len(tokens)), d)]
+    rows = invariants._sample_rows(modular_tokens, combos, _P, 12, random.Random(11))
+    rng, expected = random.Random(11), []
+    while len(expected) < 12:
+        values = modular_tokens.sample(_P, rng)
+        if values is not None:
+            expected.append([math.prod(values[i] for i in m) % _P for m in combos])
+    assert rows == expected
+    assert len(rows[0]) == 56 and rows[0][0] == 1
 
 
 def _contains_up_to_scale(syzygies, target):
