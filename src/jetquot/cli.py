@@ -27,6 +27,7 @@ from . import catalog, hs
 from .jetcalc import Dt, Dx
 from .symcore import (
     SymcoreError,
+    _cancel,
     differentiate,
     is_zero,
     normalize,
@@ -315,7 +316,7 @@ def cmd_hs_transform(args) -> int:
     gt = hs.transform_g(args.generator, _parse_expr(args.s), g)
     # the canonical p/q form of a rational result; otherwise the
     # substituted g with its powers combined
-    gt = hs._form(gt) if gt.is_rational_function() else sp.powsimp(gt)
+    gt = _cancel(gt) if gt.is_rational_function() else sp.powsimp(gt)
     print(f"g_s(w) = {gt}")
     return 0
 

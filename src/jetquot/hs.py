@@ -75,7 +75,7 @@ def _hermite(f: sp.Expr, var: sp.Symbol) -> tuple[sp.Expr, sp.Poly, sp.Poly] | N
     gcds alone (Bronstein, Symbolic Integration I, §2.2). A is zero when
     the antiderivative is rational."""
     try:
-        A, D = (sp.Poly(p, var, domain=sp.QQ) for p in sp.fraction(sp.together(f)))
+        A, D = (sp.Poly(p, var, domain=sp.QQ) for p in sp.fraction(_cancel(f)))
     except sp.polys.polyerrors.CoercionFailed:
         return None
     P, A = A.div(D)
@@ -163,24 +163,11 @@ def _check_parts(g: sp.Expr, X_part: sp.Expr, U_part: sp.Expr) -> None:
             raise SymcoreError("antiderivative does not differentiate to the required integrand")
 
 
-def _form(e: sp.Expr) -> sp.Expr:
-    """The canonical p/q form of e: :func:`symcore._cancel` for a rational
-    function of e's symbols over QQ, which prints as ``sp.cancel`` does,
-    and ``sp.cancel(sp.together(e))`` for anything else. There SymPy reads
-    the roots and exponentials of one base (sqrt(2) and 1/sqrt(2),
-    exp(2) and exp(-2)) as powers of one generator, where ``_cancel``
-    makes each its own leaf; a Float stays a Float."""
-    if all(n.is_Symbol or n.is_Rational or n.is_Add or n.is_Mul
-           or (n.is_Pow and n.exp.is_Integer) for n in sp.preorder_traversal(e)):
-        return _cancel(e)
-    return sp.cancel(sp.together(e))
-
-
 def _canonical(e: sp.Expr) -> sp.Expr:
-    """The canonical p/q form (:func:`_form`) of a rational function of
-    e's symbols; sp.simplify only for anything else."""
+    """The canonical p/q form (:func:`symcore._cancel`) of a rational
+    function of e's symbols; sp.simplify only for anything else."""
     if e.is_rational_function():
-        return _form(e)
+        return _cancel(e)
     return sp.simplify(e)
 
 
@@ -220,15 +207,15 @@ class ParamSolution:
 
     @cached_property
     def X_w(self) -> sp.Expr:
-        return _form(_integrands(self.g)[0])
+        return _cancel(_integrands(self.g)[0])
 
     @cached_property
     def U_w(self) -> sp.Expr:
-        return _form(_integrands(self.g)[1])
+        return _cancel(_integrands(self.g)[1])
 
     @cached_property
     def X_ww(self) -> sp.Expr:
-        return _form(differentiate(_integrands(self.g)[0], w))
+        return _cancel(differentiate(_integrands(self.g)[0], w))
 
     @cached_property
     def X_t(self) -> sp.Expr:
@@ -306,8 +293,8 @@ def general_solution(g, C, validity: tuple = ()) -> ParamSolution:
     M0, M1, M2 = _moments(g)
     gv = g.subs(w, v)
     X, U = M0 + t * M1 + t**2 * M2 / 4, M1 + t * M2 / 2
-    X = sp.Integral((t * v + 2)**2 * gv, (v, 0, w)) / 4 if X.has(sp.Integral) else _form(X)
-    U = sp.Integral((t * v + 2) * v * gv, (v, 0, w)) / 2 if U.has(sp.Integral) else _form(U)
+    X = sp.Integral((t * v + 2)**2 * gv, (v, 0, w)) / 4 if X.has(sp.Integral) else _cancel(X)
+    U = sp.Integral((t * v + 2) * v * gv, (v, 0, w)) / 2 if U.has(sp.Integral) else _cancel(U)
     _check_parts(g, X, U)
     degenerate = exact_zero(g)
     conds = tuple(sp.sympify(c) for c in validity)
@@ -507,7 +494,7 @@ def cauchy_g(t0, u0) -> sp.Expr | list[sp.Expr]:
     # quartic formulas there, and may not return
     if branches is None and not (
             slope.is_rational_function(x)
-            and _poly_solve(sp.numer(_form(slope)), x) is None):
+            and _poly_solve(sp.numer(_cancel(slope)), x) is None):
         branches = sp.solve(sp.Eq(2 * u0p / (2 - t0 * u0p), w), x)
     if not branches:
         raise CauchyError("could not invert the slope map symbolically; "
@@ -516,7 +503,7 @@ def cauchy_g(t0, u0) -> sp.Expr | list[sp.Expr]:
     for sol_x in branches:
         # a non-rational g (u0 = x^3) is simplified from its cancelled form,
         # which keeps the expanded denominator that the command prints
-        gw = _canonical(_form(g_of_x.subs(x, sol_x)))
+        gw = _canonical(_cancel(g_of_x.subs(x, sol_x)))
         if gw not in out:
             out.append(gw)
     return out[0] if len(out) == 1 else out
@@ -537,7 +524,7 @@ def fit_C(sol: ParamSolution, t0, u0, w_end=0, side="-") -> sp.Expr:
 
     w_end, end = sp.sympify(w_end), None
     if w_end.is_finite and U_part.is_rational_function(w):  # its value, where continuous
-        num, den = (p.subs(w, w_end) for p in sp.fraction(_form(U_part)))
+        num, den = (p.subs(w, w_end) for p in sp.fraction(_cancel(U_part)))
         end = None if exact_zero(den) else num / den
     end = sp.limit(U_part, w, w_end, side) if end is None else end
     if end.has(sp.oo, -sp.oo, sp.zoo, sp.nan):
@@ -650,7 +637,7 @@ def transform_g(generator: str, s, g) -> sp.Expr:
     if generator == "time-translation":
         # a reduced argument, and the prefactor factored with the factors of
         # g that are rational in w, so the result prints in lowest terms
-        factors = sp.Mul.make_args(g.subs(w, _form(2 * w / (2 - s * w))))
+        factors = sp.Mul.make_args(g.subs(w, _cancel(2 * w / (2 - s * w))))
         rational = [f for f in factors if f.is_rational_function(w)]
         rest = [f for f in factors if not f.is_rational_function(w)]
         return sp.factor(16 / (2 - s * w)**4 * sp.Mul(*rational)) * sp.Mul(*rest)

@@ -53,11 +53,12 @@ stages judge the pseudo-remainder of e's numerator by Φ's instead (see
 :func:`is_zero`).
 
 There is one rational normal form, :func:`_cancel`: p/q over ZZ in the
-ring of an expression's leaves with gcd(p, q) removed. It is the key of
-a kernel's arguments and power bases, the solved rhs of a
-``PdeManifold``, and the body of :func:`normalize`, the printable normal
-form; a verdict's ``residual`` calls it when the certificate of a claim
-that is not proved zero is first read.
+ring of an expression's generators with gcd(p, q) removed, each leaf a
+power of one generator as in ``sp.cancel``. It is the key of a kernel's
+arguments and power bases, the solved rhs of a ``PdeManifold``, the body
+of :func:`normalize`, the printable normal form, and every form of
+:mod:`jetquot.hs`; a verdict's ``residual`` calls it when the
+certificate of a claim that is not proved zero is first read.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ from mpmath.calculus.quadrature import GaussLegendre
 from sympy import Rational, Symbol
 from sympy.core.function import AppliedUndef
 from sympy.polys.domains import QQ, ZZ
-from sympy.polys.polyutils import _sort_gens
+from sympy.polys.polyutils import _sort_gens, decompose_power
 from sympy.polys.rings import ring
 from sympy.printing.pycode import MpmathPrinter
 
@@ -687,7 +688,8 @@ class _Kernelizer:
         #: the exponent terms m seen for each base, one kernel base**m each
         self.terms: dict[sp.Expr, list[sp.Expr]] = {}
         self.counter = 0
-        #: each node's walk, as made on its first visit
+        #: each node's walk, as made on its first visit; integrals that differ
+        #: only in their bound variables are one key, walked as first written
         self.walked: dict[sp.Expr, sp.Expr] = {}
         #: the free symbols of each kernel symbol's kernel, the kernels inside it unkernelized
         self.inner: dict[Symbol, set] = {}
@@ -709,9 +711,12 @@ class _Kernelizer:
         return self._walk(e)
 
     def _walk(self, e: sp.Expr) -> sp.Expr:
-        out = self.walked.get(e)
+        # an integral with a free Dummy keys itself: renaming could capture it
+        key = (_canon_integral_dummies(e) if isinstance(e, sp.Integral)
+               and not any(s.is_Dummy for s in e.free_symbols) else e)
+        out = self.walked.get(key)
         if out is None:
-            out = self.walked[e] = self._rewrite(e)
+            out = self.walked[key] = self._rewrite(e)
         return out
 
     def _rewrite(self, e: sp.Expr) -> sp.Expr:
@@ -792,15 +797,16 @@ class _Kernelizer:
 
 
 def _cancel(w: sp.Expr) -> sp.Expr:
-    """w as p/q over ZZ in the ring of its leaves (see :func:`_ring_leaves`)
-    with gcd(p, q) removed and q's leading coefficient positive, the
-    generators in SymPy's order, so that for a rational function over QQ
-    of symbols the form is the one ``sp.cancel`` prints. A root or an
-    exponential of one base is its own leaf here: sqrt(x) + 1/sqrt(x) and
-    exp(x) + exp(-x) stay sums, where ``sp.cancel`` reads b**(p/q) and
-    exp(k*a) as powers of one generator. Equal
-    rational functions of the same leaves give the identical expression;
-    a Float leaf is its exact binary Rational. w holding I is left to
+    """w as p/q over ZZ in the ring of its generators with gcd(p, q) removed
+    and q's leading coefficient positive, the generators in SymPy's order,
+    so that the form is the one ``sp.cancel`` prints. As there, each leaf
+    (see :func:`_ring_leaves`) is a power of one generator
+    (``decompose_power``): b**(p/q) is (b**(1/q))**p, exp(k*a) is
+    exp(a)**k and exp(-2) is E**-2; and a root b**(1/q) to a multiple of q
+    is that power of b, as SymPy's Mul makes sqrt(a)*sqrt(a) = a, so p/q
+    holding one is read again with it multiplied out. Equal rational
+    functions of the same generators give the identical expression; a
+    Float leaf is its exact binary Rational. w holding I is left to
     ``sp.cancel``, which reduces I**2 = -1 over ZZ_I; w is returned as it
     is when a walk fails (a non-finite constant, a vanishing denominator)."""
     if w.is_Symbol or w.is_Rational:
@@ -809,13 +815,21 @@ def _cancel(w: sp.Expr) -> sp.Expr:
         leaves = _ring_leaves(w, set())
         if sp.I in leaves:
             return sp.cancel(w)
-        floats = {f for f in leaves if f.is_Float}
-        walk = _RingWalk(list(_sort_gens(sorted(leaves - floats, key=sp.default_sort_key))))
-        walk.memo.update((f, walk(Rational(f))) for f in floats)
+        powers = {f: (Rational(f), 1) if f.is_Float else decompose_power(f) for f in leaves}
+        gens = list(_sort_gens(sorted({g for g, _ in powers.values() if not g.is_Rational},
+                                      key=sp.default_sort_key)))
+        walk = _RingWalk(gens)
+        walk.memo.update((f, walk(sp.Pow(*powers[f], evaluate=False)))
+                         for f in leaves if powers[f] != (f, 1))
         num, den, c = walk(w)
     except (UndefinedExpressionError, ValueError, sp.PolynomialError):
         return w
-    p, q = num.cancel(reduce(operator.mul, [b**k for b, k in den.items()], walk.R(c)))
+    den = reduce(operator.mul, [b**k for b, k in den.items()], walk.R(c))
+    roots = [(i, q) for i, g in enumerate(gens) if not g.is_Symbol
+             and (q := g.as_base_exp()[1].as_coeff_Mul(rational=True)[0].q) > 1]
+    if any(m[i] and not m[i] % q for p in (num, den) for m in p.keys() for i, q in roots):
+        return _cancel(num.as_expr() / den.as_expr())
+    p, q = num.cancel(den)
     return p.as_expr() / q.as_expr()
 
 

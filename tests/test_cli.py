@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from jetquot import hs
 from jetquot.cli import main
 
 
@@ -172,6 +173,30 @@ def test_hs_transform(capsys):
                        "--s", "1", "--g", "exp(w)")
     assert code == 0
     assert "w + 2" in out
+
+
+@pytest.mark.parametrize("g, s, printed", [
+    ("exp(w)", "1", ["16*exp(-2*w/(w - 2))/(w - 2)**4", "exp(w*exp(-1))", "exp(w - 1)",
+                     "exp(w + 2)"]),
+    ("1/(w^3+2)", "2", ["1/(w**4 - 7*w**3 + 12*w**2 - 8*w + 2)", "exp(6)/(w**3 + 2*exp(6))",
+                        "1/(w**3*exp(2) + 2*exp(2))", "1/(w**3 + 12*w**2 + 48*w + 66)"]),
+    ("sqrt(w+3)", "1/2", ["256*sqrt(-4*w/(w - 4) + 3)/(w - 4)**4", "sqrt(w*exp(-1/2) + 3)",
+                          "sqrt(w + 3)*exp(-1/2)", "sqrt(w + 4)"]),
+], ids=["exp", "cubic", "root"])
+def test_hs_transform_prints_each_label(capsys, g, s, printed):
+    # one per generator, in the order of hs.GENERATORS
+    for generator, label in zip(hs.GENERATORS, printed, strict=True):
+        code, out, _ = run(capsys, "hs", "transform", "--generator", generator, "--s", s, "--g", g)
+        assert code == 0
+        assert out == f"g_s(w) = {label}\n"
+
+
+def test_hs_cauchy_prints_the_label_of_a_cubic_slice(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("JETQUOT_OUTPUT_DIR", str(tmp_path))
+    code, out, _ = run(capsys, "hs", "cauchy", "--t0", "1", "--u0", "x^3")
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "g(w) = -4*sqrt(6)/(3*sqrt(w/(w + 2))*(w**4 + 8*w**3 + 24*w**2 + 32*w + 16))")
 
 
 def test_hs_transform_unknown_generator(capsys):

@@ -192,6 +192,15 @@ def test_integral_dummy_names_are_immaterial():
     assert verdict.is_zero and verdict.mode == "deterministic"
 
 
+def test_normalize_shares_integrals_that_differ_only_in_their_bound_variable():
+    # normalize and stage 1 agree; a surviving integral keeps a written variable
+    assert parse("int(g(v), v, 0, x) - int(g(s), s, 0, x)") == 0
+    assert is_zero(parse("int(g(v), v, 0, x) - int(g(s), s, 0, x) + x")).residual == x
+    assert str(parse("int(g(v), v, 0, x) + 2*int(g(s), s, 0, x)")) == "3*Integral(g(s), (s, 0, x))"
+    # the integrand's own variable is not renamed with the bound one
+    assert parse("int(exp(v), s, 0, x) - int(exp(v), v, 0, x)") != 0
+
+
 def test_nested_integral_dummies_are_renamed_in_the_inner_bounds():
     # ∫₀ᵇ∫₀ᵛ s·v ds dv = b⁴/8 and ∫₀ᵇ∫₀ᵛ s·w ds dw = b²v²/4 differ: the
     # outer variable v of the first also bounds its inner limit
@@ -295,26 +304,20 @@ def test_symcore_and_pde_have_one_rational_normal_form():
     package = pathlib.Path(jetquot.__file__).parent
     # every cancel is symcore._cancel, computed in the stage-1 ring; only an
     # expression holding I is left to SymPy, which cancels over ZZ_I
-    texts = {name: (package / name).read_text() for name in ("symcore.py", "pde.py")}
+    texts = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
     assert [name for name, text in texts.items() if "sp.together(" in text] == []
-    assert [text.count("sp.cancel(") for text in texts.values()] == [1, 0]
+    assert {name: text.count("sp.cancel(") for name, text in texts.items()
+            if "sp.cancel(" in text} == {"symcore.py": 1}
     assert re.search(r"if sp\.I in leaves:\n\s+return sp\.cancel\(w\)", texts["symcore.py"])
-    # hs and cli take the same form through hs._form; SymPy's cancel is left
-    # to its fallback for a form that is not rational over QQ, and together
-    # also to the fraction that hs._hermite reduces
-    calls = sorted({(name, fn.name, node.func.attr)
-                    for name in ("hs.py", "cli.py")
-                    for fn in ast.walk(ast.parse((package / name).read_text()))
-                    if isinstance(fn, ast.FunctionDef)
-                    for node in ast.walk(fn)
-                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and getattr(node.func.value, "id", None) == "sp"
-                    and node.func.attr in ("cancel", "together")})
-    assert calls == [("hs.py", "_form", "cancel"), ("hs.py", "_form", "together"),
-                     ("hs.py", "_hermite", "together")]
-    hs_text = (package / "hs.py").read_text()
-    assert hs_text.count("return sp.cancel(sp.together(e))") == 1
-    assert hs_text.count("sp.fraction(sp.together(f))") == 1
+    # hs and cli take the same form, calling _cancel directly
+    calls = [(name, node.func.attr)
+             for name in ("hs.py", "cli.py")
+             for node in ast.walk(ast.parse(texts[name]))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and getattr(node.func.value, "id", None) == "sp"
+             and node.func.attr in ("cancel", "together")]
+    assert calls == []
+    assert "_form(" not in texts["hs.py"] + texts["cli.py"]
 
 
 def test_stage1_has_one_ring_type():

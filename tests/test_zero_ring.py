@@ -249,11 +249,23 @@ def test_cancel_is_one_canonical_form(p, q, r):
     assert canon[0] == sp.cancel(sp.together(e))
 
 
-@pytest.mark.xfail(strict=True, reason="_cancel makes each root and each exponential of one "
-                   "base its own leaf, where sp.cancel reads them as powers of one generator")
-def test_cancel_prints_as_sympy_for_roots_and_exponentials_of_one_base():
-    cases = [sp.sqrt(x) + 1 / sp.sqrt(x), sp.exp(x) + sp.exp(-x)]
-    assert [symcore._cancel(e) for e in cases] == [sp.cancel(e) for e in cases]
+@pytest.mark.parametrize("e", [
+    sp.sqrt(x) + 1 / sp.sqrt(x),
+    sp.exp(x) + sp.exp(-x),
+    sp.exp(-2) / (_w**3 + 2),
+    x ** sp.Rational(3, 2) + sp.sqrt(x),
+    _unevaluated(sp.sqrt(a), sp.sqrt(a)) - a + x,
+    sp.sqrt(a) * (sp.sqrt(a) + x) * (_y + 1) / ((a + sp.sqrt(a) * x) * (_y + 2)),
+    symcore.differentiate((t * _w + 2)**2 * sp.sqrt(_w + 3) / 4, _w),
+], ids=["root and its inverse", "exponential and its inverse", "exp(-2)", "x**(3/2) + sqrt(x)",
+        "sqrt(a)*sqrt(a) in a sum", "sqrt(a)*sqrt(a) in a gcd", "X_ww of sqrt(w + 3)"])
+def test_cancel_prints_as_sympy_for_roots_and_exponentials_of_one_base(e):
+    # as sp.cancel reads them: b**(p/q) is (b**(1/q))**p, exp(k*a) is
+    # exp(a)**k, exp(-2) is E**-2, and a root to a multiple of its index is
+    # that power of its base
+    assert symcore._cancel(e) == sp.cancel(e)
+    if e.has(sp.exp(-2)):
+        assert str(symcore._cancel(e)) == "1/(w**3*exp(2) + 2*exp(2))"
 
 
 @pytest.mark.parametrize("claim", [
