@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -67,6 +66,11 @@ def constraint_G(g) -> sp.Expr:
 
 
 _UNCLOSED = (sp.Integral, sp.RootSum, sp.nan, sp.zoo, sp.oo, -sp.oo)
+
+#: |X_w| below this is a fold: ``residual`` skips the point, ``surface_csv`` flags it 2
+_JACOBIAN_FLOOR = 1e-8
+#: a validity condition, or X_w at an even-order candidate zero, this close to 0 is 0
+_NEAR_ZERO = 1e-9
 
 
 def _hermite(f: sp.Expr, var: sp.Symbol) -> tuple[sp.Expr, sp.Poly, sp.Poly] | None:
@@ -269,12 +273,12 @@ class ParamSolution:
     def _validity_fns(self):
         return [compile_numeric(cond, (t, w)) for cond in self.validity]
 
-    def excluded(self, tv: float, wv: float, tol: float = 1e-9) -> bool:
-        """True where a validity condition is within ``tol`` of 0 or has
-        no real value."""
+    def excluded(self, tv: float, wv: float) -> bool:
+        """True where a validity condition is within 1e-9 of 0 or has no
+        real value."""
         for cond in self._validity_fns:
             try:
-                if abs(cond(tv, wv)) < tol:
+                if abs(cond(tv, wv)) < _NEAR_ZERO:
                     return True
             except EvalError:
                 return True
@@ -328,12 +332,12 @@ class ResidualReport:
 
 
 def residual(sol: ParamSolution, grid, h: float = 1e-5,
-             jacobian_floor: float = 1e-8, method: str = "auto") -> ResidualReport:
+             method: str = "auto") -> ResidualReport:
     """max |F| of the Hunter-Saxton equation over a (t, w) grid.
 
     Uses exact symbolic partials when the surface is integral-free,
     otherwise Richardson-extrapolated central differences with step h.
-    Points with |X_w| below ``jacobian_floor``, inside a validity
+    Points with |X_w| below ``_JACOBIAN_FLOOR``, inside a validity
     exclusion or where evaluation fails are skipped and reported.
     """
     if method == "auto":
@@ -346,7 +350,7 @@ def residual(sol: ParamSolution, grid, h: float = 1e-5,
         res_f = compile_numeric(sol.hs_residual_expr(), (t, w))
 
         def at(tv, wv):
-            if abs(xw_f(tv, wv)) < jacobian_floor:
+            if abs(xw_f(tv, wv)) < _JACOBIAN_FLOOR:
                 return None
             return abs(res_f(tv, wv))
     else:
@@ -362,7 +366,7 @@ def residual(sol: ParamSolution, grid, h: float = 1e-5,
 
         def at(tv, wv):
             Xw = d(X_f, tv, wv, "w")
-            if abs(Xw) < jacobian_floor:
+            if abs(Xw) < _JACOBIAN_FLOOR:
                 return None
             wt = -d(X_f, tv, wv, "t") / Xw
             ux = u_x_of_w(tv, wv)
@@ -390,62 +394,49 @@ def residual(sol: ParamSolution, grid, h: float = 1e-5,
 
 
 # ---------------------------------------------------------------------------
-# Bracketed root finding
+# Bracketed root finding: sign changes on a grid, bisected to adjacent floats
 # ---------------------------------------------------------------------------
 
 
-def _brentq(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100) -> float:
-    """A root of ``f`` on [a, b], where f(a) and f(b) differ in sign.
+def _bisect(f, a: float, b: float) -> float:
+    """A root of ``f`` on [a, b], where f(a) and f(b) have opposite signs.
 
-    A step-for-step port of SciPy's C ``brentq`` (Brent 1973) with its
-    defaults, so it returns the same float: ValueError when the ends have
-    one sign or a value is NaN, RuntimeError after ``maxiter`` steps.
+    The bracket is halved until no float lies strictly inside it, so f is
+    0 at the result or has opposite signs there and at a neighbouring
+    float; of two adjacent ends the one with the smaller |f| is returned.
+    A float bracket closes in at most about 1,100 halvings, a grid bracket
+    of :func:`singular_curve` in about 43. Signs are compared, never
+    multiplied: a product of two tiny values underflows to 0.
     """
-    def value(z: float) -> float:
-        fz = float(f(z))
-        if math.isnan(fz):
-            raise ValueError(f"The function value at x={z} is NaN; solver cannot continue.")
-        return fz
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1, fpre) == math.copysign(1, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1, fpre) != math.copysign(1, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf  # bisect unless interpolation offers a short step
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # C gets inf or nan here, and so bisects
-                pass
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
+    fa, fb = f(a), f(b)
+    while (m := a / 2 + b / 2) not in (a, b):
+        fm = f(m)
+        if fm == 0:
+            return m
+        if (fm < 0) == (fa < 0):
+            a, fa = m, fm
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+            b, fb = m, fm
+    return a if abs(fa) <= abs(fb) else b
+
+
+def _zeros(f, ws: list[float], vals: list[float]) -> list[float]:
+    """The zeros of ``f`` on the grid ``ws``, where ``vals`` are f's values
+    there (NaN where it has none): every node where f is exactly 0, and
+    every pair of neighbours of opposite signs, bisected. A bracket is kept
+    only if |f| at its root is no larger than at both ends, since a pole
+    is a sign change whose |f| grows as the bracket closes."""
+    zeros = [wv for wv, fv in zip(ws, vals) if fv == 0]
+    for a, b, fa, fb in zip(ws, ws[1:], vals, vals[1:]):
+        if fa == 0 or fb == 0 or math.isnan(fa) or math.isnan(fb) or (fa < 0) == (fb < 0):
+            continue
+        try:
+            root = _bisect(f, a, b)
+            if abs(f(root)) <= min(abs(fa), abs(fb)):
+                zeros.append(root)
+        except EvalError:
+            continue
+    return zeros
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +558,15 @@ class SingularCurve:
 
 
 def singular_curve(sol: ParamSolution, times, w_window=(-40.0, -1e-3),
-                   n: int = 2000, zero_tol: float = 1e-9) -> SingularCurve:
-    """Points where ∂X/∂w = 0, found along t-slices.
+                   n: int = 2000) -> SingularCurve:
+    """Points where ∂X/∂w = 0, found along t-slices on a grid of n points.
 
-    Odd-order zeros come from sign changes of X_w; even-order zeros
-    (X_w touching 0, e.g. a squared factor) from sign changes of X_ww
-    at which |X_w| falls below ``zero_tol``.
+    Odd-order zeros come from sign changes of X_w, even-order zeros (X_w
+    touching 0, e.g. a squared factor) from sign changes of X_ww at which
+    |X_w| is below 1e-9; both are found by :func:`_zeros`. A grid node
+    where the scanned function is exactly 0 is one zero, and a sign change
+    that is a pole is no zero. A zero where the surface has no real value
+    is skipped.
     """
     xw_f = compile_numeric(sol.X_w, (t, w))
     xww_f = compile_numeric(sol.X_ww, (t, w))
@@ -591,28 +585,19 @@ def singular_curve(sol: ParamSolution, times, w_window=(-40.0, -1e-3),
                     pass
             vals.append(pair[0])
             dvals.append(pair[1])
-        roots = []
-        # a sign change may come from a pole rather than a root, in which
-        # case the bracketed solve blows up and the bracket is skipped
-        for a, b, fa, fb in zip(ws, ws[1:], vals, vals[1:]):
-            if math.isnan(fa) or math.isnan(fb) or fa * fb > 0:
-                continue
+        roots = _zeros(lambda z: xw_f(tv, z), ws, vals)
+        for crit in _zeros(lambda z: xww_f(tv, z), ws, dvals):
             try:
-                roots.append(_brentq(lambda z: xw_f(tv, z), a, b, xtol=1e-14))
-            except EvalError:
-                continue
-        for a, b, da, db in zip(ws, ws[1:], dvals, dvals[1:]):
-            if math.isnan(da) or math.isnan(db) or da * db > 0:
-                continue
-            try:
-                crit = _brentq(lambda z: xww_f(tv, z), a, b, xtol=1e-14)
-                near_zero = abs(xw_f(tv, crit)) < zero_tol
+                near_zero = abs(xw_f(tv, crit)) < _NEAR_ZERO
             except EvalError:
                 continue
             if near_zero and not any(abs(crit - r) < 1e-8 for r in roots):
                 roots.append(crit)
         for wv in sorted(roots):
-            samples.append((float(tv), float(wv), sol.x_of(tv, wv), sol.u_of(tv, wv)))
+            try:
+                samples.append((float(tv), float(wv), sol.x_of(tv, wv), sol.u_of(tv, wv)))
+            except EvalError:
+                continue
     return SingularCurve(samples)
 
 
@@ -712,8 +697,7 @@ def format_float(val: float) -> str:
     return format(float(val), ".17g")
 
 
-def surface_csv(sol: ParamSolution, times, w_values, path: str,
-                jacobian_floor: float = 1e-8) -> int:
+def surface_csv(sol: ParamSolution, times, w_values, path: str) -> int:
     """Write surface samples as CSV (t, w, x, u, u_x, flag); returns row count.
 
     flag: 0 ok, 1 validity exclusion, 2 singular (|X_w| below floor),
@@ -734,7 +718,7 @@ def surface_csv(sol: ParamSolution, times, w_values, path: str,
             else:
                 uxs = format_float(u_x_of_w(tv, wv))
                 try:
-                    if abs(xw_f(tv, wv)) < jacobian_floor:
+                    if abs(xw_f(tv, wv)) < _JACOBIAN_FLOOR:
                         flag = 2
                     xs, us = format_float(sol.x_of(tv, wv)), format_float(sol.u_of(tv, wv))
                 except EvalError:

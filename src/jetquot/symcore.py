@@ -726,6 +726,11 @@ class _Kernelizer:
             return e
         if isinstance(e, sp.exp):
             return self._power(sp.E, e.args[0])
+        if isinstance(e, sp.Integral):
+            # factors free of the bound variables leave the kernel: ∫3g = 3·∫g
+            outside, inside = e.function.as_independent(*e.variables, as_Add=False)
+            if outside is not sp.S.One:
+                return self._walk(outside) * self._walk(e.func(inside, *e.limits))
         if isinstance(e, _KERNELS):
             canon = e.func(*[self._canon_arg(a) for a in e.args])
             return self._sym(canon)
@@ -1203,7 +1208,7 @@ class _DiffRing(_RingWalk):
     def walk(self, e: sp.Expr, values: Mapping | None = None):
         """The element of e, each symbol of ``values`` taking its element;
         a tuple of elements for a Tuple e, walked in one kernelizer pass."""
-        body = self.kernelizer.run(_canon_integral_dummies(sp.sympify(e)))
+        body = self.kernelizer.run(sp.sympify(e))
         leaves = sorted(_ring_leaves(body, set()), key=lambda a: (str(a), sp.default_sort_key(a)))
         given = dict(values or {})
         for leaf in leaves:
@@ -1692,7 +1697,9 @@ def is_zero(e: sp.Expr, samples: int = 8, seed: int = _SEED,
     # only generators left in the numerator or a denominator base get a value
     used = sorted({i for p in (form.raw, *form.den) for monom in p
                    for i, n in enumerate(monom) if n})
-    kernels = dict(zip(used, unkernelize(sp.Tuple(*[form.gens[i] for i in used]), form.table)))
+    # bound variables renamed, so that no point substitutes one
+    kernels = dict(zip(used, _canon_integral_dummies(
+        unkernelize(sp.Tuple(*[form.gens[i] for i in used]), form.table))))
     nodes = {n for n in _nodes(scope) if is_formal(n)}
     symbols = _free_symbols(scope)
     rng = random.Random(seed)

@@ -301,7 +301,7 @@ def test_expr_diff_total_and_partial(capsys):
     (("int(g(v)*u, v, 0, u_x) + u_x^2", "t"),
      "u*u_tx*g(u_x) + u_t*Integral(g(v), (v, 0, u_x)) + 2*u_tx*u_x"),
     (("int(exp(v)*g(v)*u_x, v, 0, u_x*u) + int(int(g(s)*u, s, 0, v), v, 0, u_t)", "x"),
-     "u*u_x*u_xx*exp(u*u_x)*g(u*u_x) + u_tx*Integral(u*g(s), (s, 0, u_t))"
+     "u*u_tx*Integral(g(s), (s, 0, u_t)) + u*u_x*u_xx*exp(u*u_x)*g(u*u_x)"
      " + u_x**3*exp(u*u_x)*g(u*u_x) + u_x*Integral(g(s), (s, 0, v), (v, 0, u_t))"
      " + u_xx*Integral(exp(v)*g(v), (v, 0, u*u_x))"),
     (("u_x^A*u + A^u + sqrt(u_x)/u^(1/3)", "x"),

@@ -6,7 +6,7 @@ import math
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jetquot import hs
@@ -470,8 +470,57 @@ def test_singular_curve_grid_is_numpy_linspace(monkeypatch):
     assert [wv.hex() for wv in seen] == [wv.hex() for wv in np.linspace(lo, hi, n).tolist()]
 
 
+@pytest.mark.parametrize("tv", [2.0, 3.0])
+def test_singular_curve_roots_of_exponential_are_within_four_ulps(tv):
+    # X_w = (tw+2)^2 e^w/4 touches 0 at w = -2/t
+    sol = general_solution(sp.exp(w), sp.Integer(0))
+    (sample,) = singular_curve(sol, [tv]).samples
+    assert abs(sample[1] - float(-2 / tv)) <= 4 * math.ulp(2 / tv)
+
+
+def _singular_cli(capsys, tmp_path, monkeypatch, *argv):
+    from jetquot import cli
+
+    monkeypatch.setenv("JETQUOT_OUTPUT_DIR", str(tmp_path))
+    code = cli.main(["hs", "singular", *argv])
+    err = capsys.readouterr().err
+    assert code == 0 and err == ""
+    return (tmp_path / "hs_singular.csv").read_text().strip().split("\n")[1:]
+
+
+def test_singular_scan_reads_signs_not_their_underflowing_product(capsys, tmp_path,
+                                                                   monkeypatch):
+    # X_w > 0 is below 1e-160 here: the product of two neighbours is 0
+    rows = _singular_cli(capsys, tmp_path, monkeypatch, "--g", "exp(w)", "--times", "1",
+                         "--w-window=-400:-350")
+    assert rows == []
+
+
+def test_singular_scan_takes_a_zero_on_a_grid_node_once(capsys, tmp_path, monkeypatch):
+    # w = -1 is a node of the 2001-point grid on [-2, 0], and X_w is 0 there at t = 2
+    rows = _singular_cli(capsys, tmp_path, monkeypatch, "--g", "exp(w)", "--times", "2",
+                         "--w-window=-2:0", "--samples", "2001")
+    assert [row.split(",")[:2] for row in rows] == [["2", "-1"]]
+
+
+def test_singular_scan_takes_no_pole_for_a_root(capsys, tmp_path, monkeypatch):
+    # X_w = (4w+2)^2/(4(w+1)) changes sign at its pole w = -1 and touches 0 at -1/2
+    rows = _singular_cli(capsys, tmp_path, monkeypatch, "--g", "1/(w+1)", "--times", "4",
+                         "--w-window=-3:-0.1")
+    assert len(rows) == 1
+    assert abs(float(rows[0].split(",")[1]) + 0.5) < 1e-12
+
+
+def test_singular_scan_skips_a_zero_where_the_surface_has_no_real_value(capsys, tmp_path,
+                                                                        monkeypatch):
+    # at t = 1, X_w touches 0 at w = -2, where X holds log(w + 1)
+    rows = _singular_cli(capsys, tmp_path, monkeypatch, "--g", "1/(w+1)", "--times", "1,4",
+                         "--w-window=-3:-0.1")
+    assert [row.split(",")[0] for row in rows] == ["4"]
+
+
 # ---------------------------------------------------------------------------
-# Bracketed root finding: the port of SciPy's brentq
+# Bracketed root finding: bisection to adjacent floats
 # ---------------------------------------------------------------------------
 
 _FAMILIES = (
@@ -484,39 +533,35 @@ _FAMILIES = (
 _real = st.floats(-5, 5)
 
 
-def _outcome(solver, f, a, b, **kw):
-    try:
-        return solver(f, a, b, **kw).hex()
-    except (ValueError, RuntimeError) as exc:
-        return type(exc)
-
-
 @given(st.sampled_from(_FAMILIES), st.lists(_real, min_size=4, max_size=4),
-       st.floats(-5, 0), st.floats(0, 5), st.floats(0, 1),
-       st.sampled_from([1e-14, 2e-12, 1e-6]), st.sampled_from([100, 3]))
+       st.floats(-5, 0), st.floats(0, 5), st.floats(0, 1))
 @settings(max_examples=300, deadline=None, derandomize=True)
-def test_brentq_port_matches_scipy_bit_for_bit(family, c, a, b, s, xtol, maxiter):
-    brentq = pytest.importorskip("scipy.optimize").brentq
+def test_bisection_ends_at_a_zero_or_a_sign_change_between_adjacent_floats(family, c, a, b, s):
     # f vanishes at r in [a, b], and changes sign there unless r is an extremum
     r = a + s * (b - a)
 
     def f(z):
         return family(c, z) - family(c, r)
 
-    assert (_outcome(hs._brentq, f, a, b, xtol=xtol, maxiter=maxiter)
-            == _outcome(brentq, f, a, b, xtol=xtol, maxiter=maxiter))
+    fa, fb = f(a), f(b)
+    assume(fa != 0 and fb != 0 and (fa < 0) != (fb < 0))
+    m = hs._bisect(f, a, b)
+    fm = f(m)
+    assert a <= m <= b
+    assert fm == 0 or any(fn != 0 and (fn < 0) != (fm < 0)
+                          for fn in (f(math.nextafter(m, -math.inf)),
+                                     f(math.nextafter(m, math.inf))))
 
 
-@pytest.mark.parametrize("f, kw, error", [
-    (lambda z: z * z + 1, {}, ValueError),
-    (lambda z: math.nan if z > 1.5 else z - 1, {}, ValueError),
-    (lambda z: z**3 - 2, {"maxiter": 2}, RuntimeError),
-], ids=["same sign", "nan", "no convergence"])
-def test_brentq_port_raises_as_scipy(f, kw, error):
-    brentq = pytest.importorskip("scipy.optimize").brentq
-    for solver in (hs._brentq, brentq):
-        with pytest.raises(error):
-            solver(f, 0.0, 2.0, **kw)
+def test_a_sign_change_at_a_pole_is_no_zero():
+    # (z + 1/2)/(z² - 2) changes sign at its zero -1/2 and at its pole √2,
+    # neither of them a node of the grid; no float z has z² = 2
+    def f(z):
+        return (z + 0.5) / (z * z - 2)
+
+    ws = [k / 10 - 0.97 for k in range(30)]
+    (zero,) = hs._zeros(f, ws, [f(z) for z in ws])
+    assert abs(zero + 0.5) <= math.ulp(0.5)
 
 
 # ---------------------------------------------------------------------------

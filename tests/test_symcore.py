@@ -201,6 +201,15 @@ def test_normalize_shares_integrals_that_differ_only_in_their_bound_variable():
     assert parse("int(exp(v), s, 0, x) - int(exp(v), v, 0, x)") != 0
 
 
+@pytest.mark.parametrize("text", ["int(x*g(v), v, 0, t) - x*int(g(v), v, 0, t)",
+                                  "int(3*g(v), v, 0, x) - 3*int(g(s), s, 0, x)"])
+def test_normalize_moves_factors_free_of_the_bound_variable_as_stage_1_does(text):
+    # one kernel for ∫c·g and ∫g, whether the claim is normalized or decided
+    assert parse(text) == 0
+    assert is_zero(parse(text)).mode == "deterministic"
+    assert is_zero(parse(text + " + x")).residual == x
+
+
 def test_nested_integral_dummies_are_renamed_in_the_inner_bounds():
     # ∫₀ᵇ∫₀ᵛ s·v ds dv = b⁴/8 and ∫₀ᵇ∫₀ᵛ s·w ds dw = b²v²/4 differ: the
     # outer variable v of the first also bounds its inner limit
