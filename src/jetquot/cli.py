@@ -261,9 +261,7 @@ def cmd_hs_cauchy(args) -> int:
         stats = {"max": hs.format_float(rep.max_residual), "evaluated": rep.evaluated,
                  "excluded": len(rep.excluded)}
         if args.singular:
-            lo, hi = min(ws), max(ws)
-            curve = hs.singular_curve(sol, times, w_window=(lo, hi))
-            singular = curve.samples
+            singular = hs.singular_curve(sol, times, w_window=(min(ws), max(ws))).samples
     doc_path = _out_path(args.out or "hs_cauchy.json")
     _atomic_write(doc_path, lambda p: hs.cauchy_report_json(
         t0, u0, base.g, C if C is not None else "", stats, singular, p))
@@ -285,24 +283,23 @@ def cmd_hs_singular(args) -> int:
         g = _parse_expr(args.g)
         C = _parse_expr(args.C) if args.C is not None else sp.Integer(0)
         sol = hs.general_solution(g, C)
-    times = _parse_list(args.times)
     ws = _parse_range(args.w_window, default_count=2)
-    lo, hi = ws[0], ws[-1]
-    curve = hs.singular_curve(sol, times, w_window=(lo, hi), n=args.samples)
-    rows = ["t,w,x,u"]
-    for tv, wv, xv, uv in curve.samples:
-        rows.append(",".join(hs.format_float(v) for v in (tv, wv, xv, uv)))
+    curve = hs.singular_curve(sol, _parse_list(args.times), w_window=(ws[0], ws[-1]),
+                              n=args.samples)
+    rows = ["t,w,x,u"] + [",".join(map(hs.format_float, sample)) for sample in curve.samples]
     out = _out_path(args.out or "hs_singular.csv")
     _atomic_write(out, lambda p: open(p, "w").write("\n".join(rows) + "\n"))
     print(f"wrote {out} ({len(curve.samples)} singular samples)")
     if args.check is not None:
-        if not curve.samples:
-            print("no singular samples found to check", file=sys.stderr)
-            return 1
-        worst = curve.max_violation(_parse_expr(args.check))
+        implicit = _parse_expr(args.check)
+        worst = curve.max_violation(implicit)
         print(f"max |{args.check}| on curve: {worst:.3e}")
-        if worst > args.tol:
-            print(f"violation exceeds tolerance {args.tol}", file=sys.stderr)
+        verdict = curve.branch_verdict(implicit)
+        if verdict is not None:
+            print(f"{args.check} on w = -2/t: {f'zero ({verdict.mode})' if verdict else 'nonzero'}")
+        if worst > args.tol or verdict is not None and not verdict:
+            print(f"violation exceeds tolerance {args.tol}" if worst > args.tol
+                  else f"{args.check} is not zero on w = -2/t", file=sys.stderr)
             return 1
     return 0
 
@@ -564,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--w-window", dest="w_window", default="-40:-0.001",
                    help="w scan window a:b")
     g.add_argument("--samples", type=int, default=2000,
-                   help="scan resolution per t slice")
+                   help="resolution of the one scan of g's non-polynomial factors")
     g.add_argument("--check", help="implicit curve Phi(t, x, u) to test")
     g.add_argument("--tol", type=float, default=1e-10,
                    help="tolerance for --check")

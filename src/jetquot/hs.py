@@ -24,8 +24,8 @@ from functools import cached_property
 import sympy as sp
 from sympy.integrals.rationaltools import ratint
 
-from .symcore import (EvalError, SymcoreError, _cancel, compile_numeric, differentiate,
-                      exact_zero, is_zero, jet, t, x)
+from .symcore import (EvalError, SymcoreError, ZeroVerdict, _cancel, compile_numeric,
+                      differentiate, exact_zero, is_zero, jet, t, x)
 
 u_sym = jet(0, 0)
 u_x = jet(0, 1)
@@ -69,7 +69,7 @@ _UNCLOSED = (sp.Integral, sp.RootSum, sp.nan, sp.zoo, sp.oo, -sp.oo)
 
 #: |X_w| below this is a fold: ``residual`` skips the point, ``surface_csv`` flags it 2
 _JACOBIAN_FLOOR = 1e-8
-#: a validity condition, or X_w at an even-order candidate zero, this close to 0 is 0
+#: a validity condition this close to 0 is 0
 _NEAR_ZERO = 1e-9
 
 
@@ -216,10 +216,6 @@ class ParamSolution:
     @cached_property
     def U_w(self) -> sp.Expr:
         return _cancel(_integrands(self.g)[1])
-
-    @cached_property
-    def X_ww(self) -> sp.Expr:
-        return _cancel(differentiate(_integrands(self.g)[0], w))
 
     @cached_property
     def X_t(self) -> sp.Expr:
@@ -394,52 +390,6 @@ def residual(sol: ParamSolution, grid, h: float = 1e-5,
 
 
 # ---------------------------------------------------------------------------
-# Bracketed root finding: sign changes on a grid, bisected to adjacent floats
-# ---------------------------------------------------------------------------
-
-
-def _bisect(f, a: float, b: float) -> float:
-    """A root of ``f`` on [a, b], where f(a) and f(b) have opposite signs.
-
-    The bracket is halved until no float lies strictly inside it, so f is
-    0 at the result or has opposite signs there and at a neighbouring
-    float; of two adjacent ends the one with the smaller |f| is returned.
-    A float bracket closes in at most about 1,100 halvings, a grid bracket
-    of :func:`singular_curve` in about 43. Signs are compared, never
-    multiplied: a product of two tiny values underflows to 0.
-    """
-    fa, fb = f(a), f(b)
-    while (m := a / 2 + b / 2) not in (a, b):
-        fm = f(m)
-        if fm == 0:
-            return m
-        if (fm < 0) == (fa < 0):
-            a, fa = m, fm
-        else:
-            b, fb = m, fm
-    return a if abs(fa) <= abs(fb) else b
-
-
-def _zeros(f, ws: list[float], vals: list[float]) -> list[float]:
-    """The zeros of ``f`` on the grid ``ws``, where ``vals`` are f's values
-    there (NaN where it has none): every node where f is exactly 0, and
-    every pair of neighbours of opposite signs, bisected. A bracket is kept
-    only if |f| at its root is no larger than at both ends, since a pole
-    is a sign change whose |f| grows as the bracket closes."""
-    zeros = [wv for wv, fv in zip(ws, vals) if fv == 0]
-    for a, b, fa, fb in zip(ws, ws[1:], vals, vals[1:]):
-        if fa == 0 or fb == 0 or math.isnan(fa) or math.isnan(fb) or (fa < 0) == (fb < 0):
-            continue
-        try:
-            root = _bisect(f, a, b)
-            if abs(f(root)) <= min(abs(fa), abs(fb)):
-                zeros.append(root)
-        except EvalError:
-            continue
-    return zeros
-
-
-# ---------------------------------------------------------------------------
 # Cauchy data
 # ---------------------------------------------------------------------------
 
@@ -548,6 +498,7 @@ def fit_C(sol: ParamSolution, t0, u0, w_end=0, side="-") -> sp.Expr:
 @dataclass
 class SingularCurve:
     samples: list[tuple[float, float, float, float]]  # (t, w, x, u)
+    sol: ParamSolution
 
     def max_violation(self, implicit: sp.Expr) -> float:
         """max |Φ(t, x, u)| of an implicit curve equation over the samples."""
@@ -556,49 +507,100 @@ class SingularCurve:
         f = compile_numeric(implicit, (t, x, u_sym))
         return max(abs(f(tv, xv, uv)) for tv, _, xv, uv in self.samples)
 
+    def branch_verdict(self, implicit: sp.Expr) -> ZeroVerdict | None:
+        """The :func:`is_zero` verdict on an implicit curve equation Φ(t, x, u)
+        along the branch w = −2/t, where X_w vanishes for every g; None for a
+        surface that keeps an integral or a curve with no sample there."""
+        if not (self.sol.closed and any(wv == -2 / tv for tv, wv, _, _ in self.samples)):
+            return None
+        on = {w: -2 / t}
+        return is_zero(implicit.subs({x: self.sol.X.subs(on), u_sym: self.sol.U.subs(on)}))
+
+
+def _bisect(f, a: float, b: float) -> float:
+    """A root of ``f`` on [a, b], where f(a) and f(b) have opposite signs.
+
+    The bracket is halved until no float lies strictly inside it, so f is
+    0 at the result or has opposite signs there and at a neighbouring
+    float; of two adjacent ends the one with the smaller |f| is returned.
+    A float bracket closes in at most about 1,100 halvings, a grid bracket
+    of :func:`singular_curve` in about 43. Signs are compared, never
+    multiplied: a product of two tiny values underflows to 0.
+    """
+    fa, fb = f(a), f(b)
+    while (m := a / 2 + b / 2) not in (a, b):
+        fm = f(m)
+        if fm == 0:
+            return m
+        if (fm < 0) == (fa < 0):
+            a, fa = m, fm
+        else:
+            b, fb = m, fm
+    return a if abs(fa) <= abs(fb) else b
+
+
+def _zeros(f, ws: list[float]) -> list[float]:
+    """The zeros of ``f`` on the grid ``ws``: every node where f is 0, and
+    every pair of neighbours of opposite signs (a node where f raises
+    EvalError has no sign), bisected and kept only if |f| at the root is no
+    larger than at both ends, since a pole is a sign change whose |f| grows."""
+    vals = []
+    for wv in ws:
+        try:
+            vals.append(f(wv))
+        except EvalError:
+            vals.append(math.nan)
+    zeros = [wv for wv, fv in zip(ws, vals) if fv == 0]
+    for a, b, fa, fb in zip(ws, ws[1:], vals, vals[1:]):
+        if fa == 0 or fb == 0 or math.isnan(fa) or math.isnan(fb) or (fa < 0) == (fb < 0):
+            continue
+        try:
+            root = _bisect(f, a, b)
+            if abs(f(root)) <= min(abs(fa), abs(fb)):
+                zeros.append(root)
+        except EvalError:
+            continue
+    return zeros
+
 
 def singular_curve(sol: ParamSolution, times, w_window=(-40.0, -1e-3),
                    n: int = 2000) -> SingularCurve:
-    """Points where ∂X/∂w = 0, found along t-slices on a grid of n points.
-
-    Odd-order zeros come from sign changes of X_w, even-order zeros (X_w
-    touching 0, e.g. a squared factor) from sign changes of X_ww at which
-    |X_w| is below 1e-9; both are found by :func:`_zeros`. A grid node
-    where the scanned function is exactly 0 is one zero, and a sign change
-    that is a pole is no zero. A zero where the surface has no real value
-    is skipped.
-    """
-    xw_f = compile_numeric(sol.X_w, (t, w))
-    xww_f = compile_numeric(sol.X_ww, (t, w))
-    samples = []
+    """Points where ∂X/∂w = (tw+2)²g(w)/4 vanishes in the window: at time t,
+    the branch w = −2/t and the real zeros of g, read once off the factors of
+    g's numerator. A factor free of w or an exponential never vanishes, and a
+    power vanishes where its base does. A base in QQ[w] gives its roots by exact
+    real root isolation, each refined until it rounds to one float; n is the
+    resolution of the one scan of any other base by :func:`_zeros`. A zero that
+    a validity condition excludes, or where x or u has no real value, is skipped."""
+    if sol.degenerate:
+        raise SymcoreError("X_w vanishes identically: every point of the surface is singular")
     lo, hi = map(float, w_window)
     step = (hi - lo) / max(n - 1, 1)
     ws = [k * step + lo for k in range(n - 1)] + [hi]  # np.linspace's formula, to the bit
+    zeros = []
+    for factor in sp.Mul.make_args(sp.factor(sp.numer(_cancel(sol.g)))):
+        if factor.is_Pow and factor.exp.is_Rational and factor.exp > 0:
+            factor = factor.base
+        if w not in factor.free_symbols or isinstance(factor, sp.exp):
+            continue
+        poly = sp.Poly(factor, w) if factor.is_polynomial(w) else None
+        if poly is None or poly.domain not in (sp.ZZ, sp.QQ):
+            zeros += _zeros(compile_numeric(factor, (w,)), ws)
+            continue
+        for (a, b), _ in poly.intervals(inf=sp.Rational(lo), sup=sp.Rational(hi)):
+            while float(a) != float(b):
+                a, b = poly.refine_root(a, b, eps=(b - a) / 2**20)
+            zeros.append(float(a))
+    samples = []
     for tv in times:
-        vals, dvals = [], []
-        for wv in ws:
-            pair = math.nan, math.nan
-            if not sol.excluded(tv, wv):
-                try:
-                    pair = xw_f(tv, wv), xww_f(tv, wv)
-                except EvalError:
-                    pass
-            vals.append(pair[0])
-            dvals.append(pair[1])
-        roots = _zeros(lambda z: xw_f(tv, z), ws, vals)
-        for crit in _zeros(lambda z: xww_f(tv, z), ws, dvals):
+        branch = [-2 / tv] if tv != 0 and lo <= -2 / tv <= hi else []
+        for wv in sorted(set(zeros + branch)):
             try:
-                near_zero = abs(xw_f(tv, crit)) < _NEAR_ZERO
+                if not sol.excluded(tv, wv):
+                    samples.append((float(tv), float(wv), sol.x_of(tv, wv), sol.u_of(tv, wv)))
             except EvalError:
                 continue
-            if near_zero and not any(abs(crit - r) < 1e-8 for r in roots):
-                roots.append(crit)
-        for wv in sorted(roots):
-            try:
-                samples.append((float(tv), float(wv), sol.x_of(tv, wv), sol.u_of(tv, wv)))
-            except EvalError:
-                continue
-    return SingularCurve(samples)
+    return SingularCurve(samples, sol)
 
 
 # ---------------------------------------------------------------------------

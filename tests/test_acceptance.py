@@ -221,9 +221,12 @@ def test_criterion_09_singular_curves(criterion):
                              validity=(w + 2,))
     curve_q = singular_curve(sol_q, [1.5, 2.0, 2.5, 3.0],
                              w_window=(-1.9, -0.1))
+    phi_q = 3 * x**2 * u_sym**2 + 4 * x**3 - u_sym**3 + 1
     ok = len(curve_q.samples) >= 4
-    ok = ok and curve_q.max_violation(
-        3 * x**2 * u_sym**2 + 4 * x**3 - u_sym**3 + 1) < 1e-10
+    ok = ok and curve_q.max_violation(phi_q) < 1e-10
+    # exactly on the branch w = -2/t, and refuted there with x/100 added
+    ok = ok and _exact(curve_q.branch_verdict(phi_q))
+    ok = ok and curve_q.branch_verdict(phi_q + x / 100).mode == "nonzero"
 
     sol_e = closed_form_solution(G_EXP, C_REF, XP_EXP, UP_EXP,
                                  validity=(w, w + 2))

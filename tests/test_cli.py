@@ -135,6 +135,30 @@ def test_hs_singular_with_check(capsys, tmp_path, monkeypatch):
     rows = (tmp_path / "hs_singular.csv").read_text().strip().split("\n")
     assert rows[0] == "t,w,x,u"
     assert len(rows) >= 4
+    assert "3*x^2*u^2+4*x^3-u^3+1 on w = -2/t: zero (deterministic)" in out.split("\n")
+
+
+def test_hs_singular_check_exits_1_on_an_exact_refutation(capsys, tmp_path, monkeypatch):
+    # 1e-12*x passes the float tolerance on the samples; on w = -2/t it is no zero
+    monkeypatch.setenv("JETQUOT_OUTPUT_DIR", str(tmp_path))
+    code, out, err = run(
+        capsys, "hs", "singular",
+        "--from-cauchy", "x^2", "--t0", "1", "--C", "-(t-1)^2/3", "--times", "1.5,2,2.5",
+        "--check", "3*x^2*u^2+4*x^3-u^3+1+1e-12*x", "--tol", "1e-10")
+    assert code == 1
+    assert out.split("\n")[2] == "3*x^2*u^2+4*x^3-u^3+1+1e-12*x on w = -2/t: nonzero"
+    assert "is not zero on w = -2/t" in err
+
+
+def test_hs_singular_check_gives_no_verdict_for_a_surface_that_keeps_an_integral(
+        capsys, tmp_path, monkeypatch):
+    # the moments of 1/(w^3 - 2) are kept for quadrature
+    monkeypatch.setenv("JETQUOT_OUTPUT_DIR", str(tmp_path))
+    code, out, _ = run(capsys, "hs", "singular", "--g", "1/(w^3-2)", "--times", "2",
+                       "--check", "x", "--tol", "1e9")
+    assert code == 0
+    assert "(1 singular samples)" in out
+    assert "on w = -2/t" not in out
 
 
 def test_hs_cauchy_and_singular_read_t0_exactly(capsys, tmp_path, monkeypatch):

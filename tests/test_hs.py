@@ -125,7 +125,6 @@ def test_partials_are_the_forms_of_the_antiderivatives(g, same_form):
            else general_solution(g, t**2))
     X_w = sp.cancel(sp.together(sol.X.diff(w)))
     U_w = sp.cancel(sp.together(sol.U.diff(w)))
-    assert sol.X_ww == sp.cancel(sp.together(X_w.diff(w)))
     for ours, theirs in ((sol.X_w, X_w), (sol.U_w, U_w)):
         assert ours == theirs if same_form else is_zero(ours - theirs).mode == "deterministic"
 
@@ -440,7 +439,7 @@ def test_singular_curve_exponential():
 
 
 def test_singular_curve_quadratic_even_order_zero():
-    # X_w has a squared root at w = -2/t: needs the even-order detector
+    # X_w has a squared root at w = -2/t, where it touches 0 without a sign change
     sol = general_solution(8 / (2 + w) ** 4, -((t - 1) ** 2) / 3,
                            validity=(w + 2,))
     curve = singular_curve(sol, [1.5, 2.0, 2.5, 3.0], w_window=(-1.9, -0.1))
@@ -458,16 +457,50 @@ def test_singular_curve_empty_raises():
 
 
 def test_singular_curve_grid_is_numpy_linspace(monkeypatch):
+    # the one scan of a non-polynomial factor of g, for all times at once
     np = pytest.importorskip("numpy")
     params = inspect.signature(singular_curve).parameters
     lo, hi = params["w_window"].default
     n = params["n"].default
     assert n == 2000
-    sol = general_solution(sp.exp(w), sp.Integer(0))
-    seen = []
-    monkeypatch.setattr(type(sol), "excluded", lambda self, tv, wv: seen.append(wv))
-    singular_curve(sol, [1.0])
-    assert [wv.hex() for wv in seen] == [wv.hex() for wv in np.linspace(lo, hi, n).tolist()]
+    sol = general_solution(sp.sin(3 * w), sp.Integer(0))
+    grids, zeros = [], hs._zeros
+    monkeypatch.setattr(hs, "_zeros", lambda f, ws: grids.append(ws) or zeros(f, ws))
+    singular_curve(sol, [1.0, 2.0])
+    (ws,) = grids
+    assert [wv.hex() for wv in ws] == [wv.hex() for wv in np.linspace(lo, hi, n).tolist()]
+
+
+def test_singular_curve_takes_a_zero_of_g_at_every_time():
+    # X_w = (tw+2)^2 (w+1)/4: the line w = -1 at both times, and the branch -2/t
+    sol = general_solution(w + 1, sp.Integer(0))
+    curve = singular_curve(sol, [1.0, 4.0], w_window=(-3, -0.1))
+    assert [s[:2] for s in curve.samples] == [(1.0, -2.0), (1.0, -1.0), (4.0, -1.0), (4.0, -0.5)]
+
+
+def test_singular_curve_takes_a_zero_of_g_on_the_branch_once():
+    # at t = 2 the zero w = -1 of g is the branch w = -2/t: X_w = (w+1)^3
+    sol = general_solution(w + 1, sp.Integer(0))
+    curve = singular_curve(sol, [2.0], w_window=(-3, -0.1))
+    assert [s[:2] for s in curve.samples] == [(2.0, -1.0)]
+
+
+def test_singular_curve_places_a_fourth_order_zero_exactly():
+    # at t = 2, X_w = (2w+2)^2 (w+1)^2 e^w/4 has a zero of order 4 at w = -1
+    sol = general_solution((w + 1) ** 2 * sp.exp(w), sp.Integer(0))
+    curve = singular_curve(sol, [2.0], w_window=(-3, -0.1))
+    assert [s[:2] for s in curve.samples] == [(2.0, -1.0)]
+
+
+def test_singular_curve_takes_irrational_zeros_of_g_correctly_rounded():
+    sol = general_solution(w**2 - 2, sp.Integer(0))
+    curve = singular_curve(sol, [0.0], w_window=(-3, 3))
+    assert [s[1] for s in curve.samples] == [-math.sqrt(2), math.sqrt(2)]
+
+
+def test_singular_curve_of_a_degenerate_surface_raises():
+    with pytest.raises(SymcoreError):
+        singular_curve(general_solution(0, sp.Integer(0)), [1.0])
 
 
 @pytest.mark.parametrize("tv", [2.0, 3.0])
@@ -493,6 +526,13 @@ def test_singular_scan_reads_signs_not_their_underflowing_product(capsys, tmp_pa
     # X_w > 0 is below 1e-160 here: the product of two neighbours is 0
     rows = _singular_cli(capsys, tmp_path, monkeypatch, "--g", "exp(w)", "--times", "1",
                          "--w-window=-400:-350")
+    assert rows == []
+
+
+def test_singular_scan_finds_no_zero_where_x_w_underflows(capsys, tmp_path, monkeypatch):
+    # X_w = (w+1)^2 e^w/4 is exactly 0.0 in floats on [-800, -750], but e^w never vanishes
+    rows = _singular_cli(capsys, tmp_path, monkeypatch, "--g", "exp(w)", "--times", "1",
+                         "--w-window=-800:-750")
     assert rows == []
 
 
@@ -560,7 +600,7 @@ def test_a_sign_change_at_a_pole_is_no_zero():
         return (z + 0.5) / (z * z - 2)
 
     ws = [k / 10 - 0.97 for k in range(30)]
-    (zero,) = hs._zeros(f, ws, [f(z) for z in ws])
+    (zero,) = hs._zeros(f, ws)
     assert abs(zero + 0.5) <= math.ulp(0.5)
 
 

@@ -268,6 +268,18 @@ def test_cancel_prints_as_sympy_for_roots_and_exponentials_of_one_base(e):
         assert str(symcore._cancel(e)) == "1/(w**3*exp(2) + 2*exp(2))"
 
 
+def test_cancel_of_a_root_whose_base_has_a_denominator_differs_from_sympy_in_form_only():
+    # the product walks to r**2 + r for r = sqrt(1/x); r**2 is a multiple of
+    # the root's index, so p/q is read again with it multiplied out as 1/x,
+    # which puts the sum over the one denominator x. sp.cancel keeps r**2 = 1/x
+    # as a term of its own
+    e = sp.sqrt(1 / x) * (sp.sqrt(1 / x) + 1)
+    ours, theirs = symcore._cancel(e), sp.cancel(e)
+    assert str(ours) == "(x*sqrt(1/x) + 1)/x"
+    assert str(theirs) == "sqrt(1/x) + 1/x"
+    assert is_zero(ours - theirs).mode == "deterministic"
+
+
 @pytest.mark.parametrize("claim", [
     _g(x * (1 + _y)) - _g(x + x * _y),
     _g((x**2 - 1) / (x - 1)) - _g(x + 1),
