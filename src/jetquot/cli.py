@@ -261,7 +261,9 @@ def cmd_hs_cauchy(args) -> int:
         stats = {"max": hs.format_float(rep.max_residual), "evaluated": rep.evaluated,
                  "excluded": len(rep.excluded)}
         if args.singular:
-            singular = hs.singular_curve(sol, times, w_window=(min(ws), max(ws))).samples
+            lo, hi = min(ws), max(ws)
+            curve = hs.singular_curve(sol, times, w_window=(lo, hi))
+            singular = curve.samples
     doc_path = _out_path(args.out or "hs_cauchy.json")
     _atomic_write(doc_path, lambda p: hs.cauchy_report_json(
         t0, u0, base.g, C if C is not None else "", stats, singular, p))
@@ -283,10 +285,13 @@ def cmd_hs_singular(args) -> int:
         g = _parse_expr(args.g)
         C = _parse_expr(args.C) if args.C is not None else sp.Integer(0)
         sol = hs.general_solution(g, C)
+    times = _parse_list(args.times)
     ws = _parse_range(args.w_window, default_count=2)
-    curve = hs.singular_curve(sol, _parse_list(args.times), w_window=(ws[0], ws[-1]),
-                              n=args.samples)
-    rows = ["t,w,x,u"] + [",".join(map(hs.format_float, sample)) for sample in curve.samples]
+    lo, hi = ws[0], ws[-1]
+    curve = hs.singular_curve(sol, times, w_window=(lo, hi), n=args.samples)
+    rows = ["t,w,x,u"]
+    for tv, wv, xv, uv in curve.samples:
+        rows.append(",".join(hs.format_float(v) for v in (tv, wv, xv, uv)))
     out = _out_path(args.out or "hs_singular.csv")
     _atomic_write(out, lambda p: open(p, "w").write("\n".join(rows) + "\n"))
     print(f"wrote {out} ({len(curve.samples)} singular samples)")
@@ -294,12 +299,15 @@ def cmd_hs_singular(args) -> int:
         implicit = _parse_expr(args.check)
         worst = curve.max_violation(implicit)
         print(f"max |{args.check}| on curve: {worst:.3e}")
-        verdict = curve.branch_verdict(implicit)
+        verdict = hs.branch_verdict(sol, implicit)
         if verdict is not None:
-            print(f"{args.check} on w = -2/t: {f'zero ({verdict.mode})' if verdict else 'nonzero'}")
-        if worst > args.tol or verdict is not None and not verdict:
-            print(f"violation exceeds tolerance {args.tol}" if worst > args.tol
-                  else f"{args.check} is not zero on w = -2/t", file=sys.stderr)
+            shown = f"zero ({verdict.mode})" if verdict else "nonzero"
+            print(f"{args.check} on w = -2/t: {shown}")
+        if worst > args.tol:
+            print(f"violation exceeds tolerance {args.tol}", file=sys.stderr)
+            return 1
+        if verdict is not None and not verdict:
+            print(f"{args.check} is not zero on w = -2/t", file=sys.stderr)
             return 1
     return 0
 

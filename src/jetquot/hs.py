@@ -69,7 +69,7 @@ _UNCLOSED = (sp.Integral, sp.RootSum, sp.nan, sp.zoo, sp.oo, -sp.oo)
 
 #: |X_w| below this is a fold: ``residual`` skips the point, ``surface_csv`` flags it 2
 _JACOBIAN_FLOOR = 1e-8
-#: a validity condition this close to 0 is 0
+#: a validity condition, or a factor of g at a critical point of it, this close to 0 is 0
 _NEAR_ZERO = 1e-9
 
 
@@ -498,7 +498,6 @@ def fit_C(sol: ParamSolution, t0, u0, w_end=0, side="-") -> sp.Expr:
 @dataclass
 class SingularCurve:
     samples: list[tuple[float, float, float, float]]  # (t, w, x, u)
-    sol: ParamSolution
 
     def max_violation(self, implicit: sp.Expr) -> float:
         """max |Φ(t, x, u)| of an implicit curve equation over the samples."""
@@ -506,15 +505,6 @@ class SingularCurve:
             raise SymcoreError("singular curve is empty")
         f = compile_numeric(implicit, (t, x, u_sym))
         return max(abs(f(tv, xv, uv)) for tv, _, xv, uv in self.samples)
-
-    def branch_verdict(self, implicit: sp.Expr) -> ZeroVerdict | None:
-        """The :func:`is_zero` verdict on an implicit curve equation Φ(t, x, u)
-        along the branch w = −2/t, where X_w vanishes for every g; None for a
-        surface that keeps an integral or a curve with no sample there."""
-        if not (self.sol.closed and any(wv == -2 / tv for tv, wv, _, _ in self.samples)):
-            return None
-        on = {w: -2 / t}
-        return is_zero(implicit.subs({x: self.sol.X.subs(on), u_sym: self.sol.U.subs(on)}))
 
 
 def _bisect(f, a: float, b: float) -> float:
@@ -539,17 +529,20 @@ def _bisect(f, a: float, b: float) -> float:
     return a if abs(fa) <= abs(fb) else b
 
 
+def _value(f, wv: float) -> float:
+    """f(wv), or NaN where f raises EvalError."""
+    try:
+        return f(wv)
+    except EvalError:
+        return math.nan
+
+
 def _zeros(f, ws: list[float]) -> list[float]:
     """The zeros of ``f`` on the grid ``ws``: every node where f is 0, and
     every pair of neighbours of opposite signs (a node where f raises
     EvalError has no sign), bisected and kept only if |f| at the root is no
     larger than at both ends, since a pole is a sign change whose |f| grows."""
-    vals = []
-    for wv in ws:
-        try:
-            vals.append(f(wv))
-        except EvalError:
-            vals.append(math.nan)
+    vals = [_value(f, wv) for wv in ws]
     zeros = [wv for wv, fv in zip(ws, vals) if fv == 0]
     for a, b, fa, fb in zip(ws, ws[1:], vals, vals[1:]):
         if fa == 0 or fb == 0 or math.isnan(fa) or math.isnan(fb) or (fa < 0) == (fb < 0):
@@ -570,8 +563,10 @@ def singular_curve(sol: ParamSolution, times, w_window=(-40.0, -1e-3),
     g's numerator. A factor free of w or an exponential never vanishes, and a
     power vanishes where its base does. A base in QQ[w] gives its roots by exact
     real root isolation, each refined until it rounds to one float; n is the
-    resolution of the one scan of any other base by :func:`_zeros`. A zero that
-    a validity condition excludes, or where x or u has no real value, is skipped."""
+    resolution of the one scan of any other base, which takes its sign changes
+    (:func:`_zeros`) and, for an even-order zero, the sign changes of its
+    derivative at which |base| < 1e-9. A zero that a validity condition
+    excludes, or where x or u has no real value, is skipped."""
     if sol.degenerate:
         raise SymcoreError("X_w vanishes identically: every point of the surface is singular")
     lo, hi = map(float, w_window)
@@ -585,7 +580,14 @@ def singular_curve(sol: ParamSolution, times, w_window=(-40.0, -1e-3),
             continue
         poly = sp.Poly(factor, w) if factor.is_polynomial(w) else None
         if poly is None or poly.domain not in (sp.ZZ, sp.QQ):
-            zeros += _zeros(compile_numeric(factor, (w,)), ws)
+            f = compile_numeric(factor, (w,))
+            found = _zeros(f, ws)
+            # where the factor touches 0 without a sign change, its derivative changes sign
+            for crit in _zeros(compile_numeric(differentiate(factor, w), (w,)), ws):
+                touches = abs(_value(f, crit)) < _NEAR_ZERO
+                if touches and not any(abs(crit - z) < 1e-8 for z in found):
+                    found.append(crit)
+            zeros += found
             continue
         for (a, b), _ in poly.intervals(inf=sp.Rational(lo), sup=sp.Rational(hi)):
             while float(a) != float(b):
@@ -600,7 +602,17 @@ def singular_curve(sol: ParamSolution, times, w_window=(-40.0, -1e-3),
                     samples.append((float(tv), float(wv), sol.x_of(tv, wv), sol.u_of(tv, wv)))
             except EvalError:
                 continue
-    return SingularCurve(samples, sol)
+    return SingularCurve(samples)
+
+
+def branch_verdict(sol: ParamSolution, implicit: sp.Expr) -> ZeroVerdict | None:
+    """The :func:`is_zero` verdict on an implicit curve equation Φ(t, x, u)
+    along the branch w = −2/t, where X_w vanishes for every g; None for a
+    surface that keeps an integral."""
+    if not sol.closed:
+        return None
+    on = {w: -2 / t}
+    return is_zero(implicit.subs({x: sol.X.subs(on), u_sym: sol.U.subs(on)}))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import sympy as sp
 from jetquot import hs
 from jetquot.catalog import characteristics_solve, entries, get, instantiate
 from jetquot.hs import (
+    branch_verdict,
     cauchy_g,
     closed_form_solution,
     fit_C,
@@ -225,8 +226,8 @@ def test_criterion_09_singular_curves(criterion):
     ok = len(curve_q.samples) >= 4
     ok = ok and curve_q.max_violation(phi_q) < 1e-10
     # exactly on the branch w = -2/t, and refuted there with x/100 added
-    ok = ok and _exact(curve_q.branch_verdict(phi_q))
-    ok = ok and curve_q.branch_verdict(phi_q + x / 100).mode == "nonzero"
+    ok = ok and _exact(branch_verdict(sol_q, phi_q))
+    ok = ok and branch_verdict(sol_q, phi_q + x / 100).mode == "nonzero"
 
     sol_e = closed_form_solution(G_EXP, C_REF, XP_EXP, UP_EXP,
                                  validity=(w, w + 2))

@@ -457,7 +457,7 @@ def test_singular_curve_empty_raises():
 
 
 def test_singular_curve_grid_is_numpy_linspace(monkeypatch):
-    # the one scan of a non-polynomial factor of g, for all times at once
+    # the one scan of a non-polynomial factor of g and of its derivative, for all times at once
     np = pytest.importorskip("numpy")
     params = inspect.signature(singular_curve).parameters
     lo, hi = params["w_window"].default
@@ -467,8 +467,21 @@ def test_singular_curve_grid_is_numpy_linspace(monkeypatch):
     grids, zeros = [], hs._zeros
     monkeypatch.setattr(hs, "_zeros", lambda f, ws: grids.append(ws) or zeros(f, ws))
     singular_curve(sol, [1.0, 2.0])
-    (ws,) = grids
-    assert [wv.hex() for wv in ws] == [wv.hex() for wv in np.linspace(lo, hi, n).tolist()]
+    assert len(grids) == 2
+    for ws in grids:
+        assert [wv.hex() for wv in ws] == [wv.hex() for wv in np.linspace(lo, hi, n).tolist()]
+
+
+@pytest.mark.parametrize("g, k_max", [(1 + sp.cos(w), 11), (1 - sp.cos(w), 12)])
+def test_singular_curve_finds_where_a_non_polynomial_factor_touches_zero(g, k_max):
+    # 1 ± cos(w) touches 0 without a sign change at w = -kπ for every odd
+    # (even) k: a zero of the derivative -/+ sin(w) at which 1 ± cos(w) is 0
+    curve = singular_curve(general_solution(g, sp.Integer(0)), [1.0], w_window=(-40, -1e-3))
+    lines = [s[1] for s in curve.samples if s[1] != -2.0]
+    assert len(lines) == 6
+    for wv, k in zip(lines, range(k_max, 0, -2)):
+        assert abs(wv + k * math.pi) < 1e-12
+    assert -2.0 in [s[1] for s in curve.samples]
 
 
 def test_singular_curve_takes_a_zero_of_g_at_every_time():
